@@ -1,199 +1,78 @@
-"""Hot numeric kernels: numba-jitted with a pure-numpy fallback.
+"""Hot numeric kernels: exact nearest-neighbor distances and transition counts.
 
-The jitted path is used when numba imports cleanly and the environment
-variable ``GRAPH2TS_NUMBA`` is not set to ``0``/``false``/``off``. Both
-paths are kept importable so they can be benchmarked and cross-checked
-against each other (see ``benchmarks/bench_kernels.py``).
-
-The numpy fallbacks deliberately compute squared distances as
-``((a - b) ** 2).sum()`` rather than the BLAS ``|a|^2 + |b|^2 - 2ab``
-expansion: identical rows must yield a distance of exactly 0.0.
+Squared distances are computed as ``((a - b) ** 2).sum()`` rather than the
+BLAS ``|a|^2 + |b|^2 - 2ab`` expansion, so identical rows yield a distance of
+exactly 0.0 and every result equals a row-by-row brute-force reference bit for
+bit. One chunked loop produces the squared distances; each kernel only reduces
+its chunks.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterator
 
 import numpy as np
 
 __all__ = [
-    "USING_NUMBA",
     "min_dist_to_set",
     "nn_dist_excl_self",
     "medoid_index",
     "transition_counts",
 ]
 
-# rows per chunk in the broadcasting fallbacks, capped so the temporary
-# (chunk, m, t) array stays around 64 MB
+# rows per chunk, capped so the temporary (chunk, m, t) array stays around 64 MB
 _CHUNK_BUDGET = 8_000_000
 
 
-def _numba_enabled() -> bool:
-    flag = os.environ.get("GRAPH2TS_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _min_dist_to_set_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_dist_chunks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield ``(lo, hi, d2)``; ``d2[i - lo, j]`` is the squared distance of a[i] to b[j]."""
     n, t = a.shape
     m = b.shape[0]
     chunk = max(1, _CHUNK_BUDGET // max(1, m * t))
-    out = np.empty(n)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        d2 = ((a[lo:hi, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        out[lo:hi] = np.sqrt(d2.min(axis=1))
-    return out
-
-
-def _nn_dist_excl_self_np(a: np.ndarray) -> np.ndarray:
-    n, t = a.shape
-    chunk = max(1, _CHUNK_BUDGET // max(1, n * t))
-    out = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        d2 = ((a[lo:hi, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-        for i in range(lo, hi):
-            d2[i - lo, i] = np.inf
-        out[lo:hi] = np.sqrt(d2.min(axis=1))
-    return out
-
-
-def _medoid_index_np(a: np.ndarray) -> int:
-    n, t = a.shape
-    chunk = max(1, _CHUNK_BUDGET // max(1, n * t))
-    sums = np.empty(n)
-    for lo in range(0, n, chunk):
-        hi = min(n, lo + chunk)
-        d2 = ((a[lo:hi, None, :] - a[None, :, :]) ** 2).sum(axis=2)
-        sums[lo:hi] = np.sqrt(d2).sum(axis=1)
-    return int(np.argmin(sums))  # argmin takes the lowest index on ties
-
-
-def _transition_counts_np(states: np.ndarray, n_states: int) -> np.ndarray:
-    # states: (n_windows, T) int64 with entries in 1..n_states
-    n, t = states.shape
-    src = states[:, :-1] - 1
-    dst = states[:, 1:] - 1
-    counts = np.zeros(n * n_states * n_states, dtype=np.int64)
-    flat = (np.arange(n)[:, None] * n_states + src) * n_states + dst
-    np.add.at(counts, flat.ravel(), 1)
-    return counts.reshape(n, n_states, n_states)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-_HAVE_NUMBA = False
-if _numba_enabled():
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _min_dist_to_set_nb(a, b):  # pragma: no cover - exercised via dispatch
-        n, t = a.shape
-        m = b.shape[0]
-        out = np.empty(n)
-        for i in range(n):
-            best = np.inf
-            for j in range(m):
-                d = 0.0
-                for k in range(t):
-                    diff = a[i, k] - b[j, k]
-                    d += diff * diff
-                if d < best:
-                    best = d
-            out[i] = np.sqrt(best)
-        return out
-
-    @njit(cache=True)
-    def _nn_dist_excl_self_nb(a):  # pragma: no cover
-        n, t = a.shape
-        out = np.empty(n)
-        for i in range(n):
-            best = np.inf
-            for j in range(n):
-                if j == i:
-                    continue
-                d = 0.0
-                for k in range(t):
-                    diff = a[i, k] - a[j, k]
-                    d += diff * diff
-                if d < best:
-                    best = d
-            out[i] = np.sqrt(best)
-        return out
-
-    @njit(cache=True)
-    def _medoid_index_nb(a):  # pragma: no cover
-        n, t = a.shape
-        best_sum = np.inf
-        best_i = 0
-        for i in range(n):
-            s = 0.0
-            for j in range(n):
-                d = 0.0
-                for k in range(t):
-                    diff = a[i, k] - a[j, k]
-                    d += diff * diff
-                s += np.sqrt(d)
-            if s < best_sum:
-                best_sum = s
-                best_i = i
-        return best_i
-
-    @njit(cache=True)
-    def _transition_counts_nb(states, n_states):  # pragma: no cover
-        n, t = states.shape
-        counts = np.zeros((n, n_states, n_states), dtype=np.int64)
-        for i in range(n):
-            for j in range(t - 1):
-                counts[i, states[i, j] - 1, states[i, j + 1] - 1] += 1
-        return counts
-
-
-USING_NUMBA = _HAVE_NUMBA
+        yield lo, hi, ((a[lo:hi, None, :] - b[None]) ** 2).sum(axis=2)
 
 
 def min_dist_to_set(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of ``a`` to its nearest row of ``b``."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     b = np.ascontiguousarray(b, dtype=np.float64)
-    if USING_NUMBA:
-        return _min_dist_to_set_nb(a, b)
-    return _min_dist_to_set_np(a, b)
+    out = np.empty(a.shape[0])
+    for lo, hi, d2 in _sq_dist_chunks(a, b):
+        out[lo:hi] = np.sqrt(d2.min(axis=1))
+    return out
 
 
 def nn_dist_excl_self(a: np.ndarray) -> np.ndarray:
     """Per-row nearest-neighbor distance within ``a``, excluding the row itself."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if USING_NUMBA:
-        return _nn_dist_excl_self_nb(a)
-    return _nn_dist_excl_self_np(a)
+    out = np.empty(a.shape[0])
+    for lo, hi, d2 in _sq_dist_chunks(a, a):
+        rows = np.arange(hi - lo)
+        d2[rows, rows + lo] = np.inf
+        out[lo:hi] = np.sqrt(d2.min(axis=1))
+    return out
 
 
 def medoid_index(a: np.ndarray) -> int:
     """Index of the row minimizing the summed distance to all rows (ties: lowest)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    if USING_NUMBA:
-        return int(_medoid_index_nb(a))
-    return _medoid_index_np(a)
+    sums = np.empty(a.shape[0])
+    for lo, hi, d2 in _sq_dist_chunks(a, a):
+        sums[lo:hi] = np.sqrt(d2).sum(axis=1)
+    return int(np.argmin(sums))  # argmin takes the lowest index on ties
 
 
 def transition_counts(states: np.ndarray, n_states: int) -> np.ndarray:
-    """Per-window first-order transition counts for 1-based state rows."""
+    """Per-window first-order transition counts for 1-based state rows.
+
+    ``states`` is (n_windows, T) with entries in 1..n_states; the result is
+    (n_windows, n_states, n_states) int64 with ``[w, i, j]`` = count(i+1 -> j+1).
+    """
     states = np.ascontiguousarray(states, dtype=np.int64)
-    if USING_NUMBA:
-        return _transition_counts_nb(states, n_states)
-    return _transition_counts_np(states, n_states)
+    n = states.shape[0]
+    src = np.arange(n)[:, None] * n_states + states[:, :-1] - 1
+    flat = src * n_states + states[:, 1:] - 1
+    counts = np.bincount(flat.ravel(), minlength=n * n_states * n_states)
+    return counts.reshape(n, n_states, n_states)

@@ -23,7 +23,6 @@ __all__ = [
     "relu",
     "l2_normalize_rows",
     "sort_rows",
-    "sort_ascending",
     "matmul_nt",
     "transpose",
     "concat_cols",
@@ -91,8 +90,9 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # cheap guard: NaN/Inf poison the sum
-    if not np.isfinite(arr.sum()):
+    # fast path: NaN/Inf poison the sum; a large finite array can overflow it,
+    # so an inf sum is confirmed elementwise before raising
+    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise FloatingPointError(f"non-finite value produced by op '{op}'")
 
 
@@ -195,14 +195,6 @@ def sort_rows(x: Var) -> tuple[Var, np.ndarray]:
             _acc(x, back)
         t._ops.append(bwd)
     return out, perm
-
-
-def sort_ascending(x: Var) -> tuple[Var, np.ndarray]:
-    """Vector form of sort_rows; x must be (1, n), permutation returned as 1-D."""
-    if x.value.shape[0] != 1:
-        raise ValueError("sort_ascending expects a (1, n) vector")
-    out, perm = sort_rows(x)
-    return out, perm[0]
 
 
 def transpose(x: Var) -> Var:

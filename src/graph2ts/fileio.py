@@ -145,14 +145,7 @@ def write_metrics_report(path, report: MetricsReport) -> None:
 
 
 def write_tail_stats(path, x_stats: TailStats, dx_stats: TailStats) -> None:
-    items = []
-    for prefix, ts in (("x", x_stats), ("dx", dx_stats)):
-        items.append((f"{prefix}_mean", ts.mean))
-        items.append((f"{prefix}_std", ts.std))
-        items.append((f"{prefix}_excess_kurtosis", ts.excess_kurtosis))
-        items.append((f"{prefix}_q_lo", ts.quantile_range[0]))
-        items.append((f"{prefix}_q_hi", ts.quantile_range[1]))
-    _write_kv(path, TAILSTATS_MAGIC, items)
+    _write_kv(path, TAILSTATS_MAGIC, x_stats.as_items("x") + dx_stats.as_items("dx"))
 
 
 def write_curve(path, name: str, values: np.ndarray) -> None:
@@ -199,26 +192,41 @@ def save_model(path, model: Graph2TS) -> None:
 
 
 def load_model(path) -> Graph2TS:
+    """Inverse of save_model; truncation or trailing bytes raise ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a g2ts-ckpt v1 checkpoint")
-        meta = json.loads(fh.readline().decode("utf-8"))
+        buf = fh.read()
+    if not buf.startswith(CKPT_MAGIC):
+        raise ValueError(f"{path}: not a g2ts-ckpt v1 checkpoint")
+    pos = len(CKPT_MAGIC)
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if n > len(buf) - pos:
+            raise ValueError(f"{path}: truncated at byte {len(buf)} while reading {what}")
+        pos += n
+        return buf[pos - n:pos]
+
+    end = buf.find(b"\n", pos)
+    if end < 0:
+        raise ValueError(f"{path}: truncated inside the JSON header")
+    try:
+        meta = json.loads(buf[pos:end].decode("utf-8"))
         config = TrainConfig(**meta["config"])
-        (count,) = struct.unpack("<I", fh.read(4))
-        params: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            rows, cols = struct.unpack("<II", fh.read(8))
-            data = np.frombuffer(fh.read(rows * cols * 8), dtype="<f8")
-            if data.size != rows * cols:
-                raise ValueError(f"{path}: truncated array '{name}'")
-            params[name] = data.reshape(rows, cols).astype(np.float64)
+        best_epoch, edges = meta["best_epoch"], meta["boundaries"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: bad checkpoint JSON header: {exc!r}") from None
+    pos = end + 1
+    (count,) = struct.unpack("<I", take(4, "the array count"))
+    params: dict[str, np.ndarray] = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", take(4, "an array name length"))
+        name = take(name_len, "an array name").decode("utf-8")
+        rows, cols = struct.unpack("<II", take(8, f"the shape of '{name}'"))
+        data = np.frombuffer(take(rows * cols * 8, f"array '{name}'"), dtype="<f8")
+        params[name] = data.reshape(rows, cols).astype(np.float64)
+    if pos != len(buf):
+        raise ValueError(f"{path}: {len(buf) - pos} trailing byte(s) after the last array")
     bounds = None
-    if meta["boundaries"] is not None:
-        edges = np.array(meta["boundaries"])
-        bounds = QuantileBoundaries(edges=edges, n_states=config.n_states)
-    return Graph2TS(
-        config=config, params=params, boundaries=bounds, best_epoch=meta["best_epoch"]
-    )
+    if edges is not None:
+        bounds = QuantileBoundaries(edges=np.array(edges), n_states=config.n_states)
+    return Graph2TS(config=config, params=params, boundaries=bounds, best_epoch=best_epoch)

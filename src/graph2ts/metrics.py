@@ -43,6 +43,16 @@ class TailStats:
     excess_kurtosis: float
     quantile_range: tuple[float, float]
 
+    def as_items(self, prefix: str) -> list[tuple[str, float]]:
+        """(key, value) pairs in serialization order, keys starting ``<prefix>_``."""
+        return [
+            (f"{prefix}_mean", self.mean),
+            (f"{prefix}_std", self.std),
+            (f"{prefix}_excess_kurtosis", self.excess_kurtosis),
+            (f"{prefix}_q_lo", self.quantile_range[0]),
+            (f"{prefix}_q_hi", self.quantile_range[1]),
+        ]
+
 
 @dataclass(frozen=True)
 class MetricsReport:
@@ -78,11 +88,7 @@ class MetricsReport:
             ("synth_x", self.tails_synth_x),
             ("synth_dx", self.tails_synth_dx),
         ):
-            items.append((f"{prefix}_mean", ts.mean))
-            items.append((f"{prefix}_std", ts.std))
-            items.append((f"{prefix}_excess_kurtosis", ts.excess_kurtosis))
-            items.append((f"{prefix}_q_lo", ts.quantile_range[0]))
-            items.append((f"{prefix}_q_hi", ts.quantile_range[1]))
+            items += ts.as_items(prefix)
         return items
 
 

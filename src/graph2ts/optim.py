@@ -28,9 +28,6 @@ class ParamStore:
     def copy_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def names(self) -> list[str]:
-        return list(self.params)
-
 
 def adam_step(
     store: ParamStore,
@@ -47,7 +44,7 @@ def adam_step(
             raise ValueError(f"missing gradient for parameter '{name}'")
         if g.shape != store.params[name].shape:
             raise ValueError(f"gradient shape mismatch for parameter '{name}'")
-        if not np.isfinite(g.sum()):
+        if not np.isfinite(g.sum()) and not np.isfinite(g).all():
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
     store.step += 1
     t = store.step

@@ -81,6 +81,14 @@ def discretize(window: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
     return np.clip(states, 1, bounds.n_states).astype(np.int64)
 
 
+def _transition_probs(states: np.ndarray, n_states: int) -> np.ndarray:
+    """Row-normalized transition counts per state row; unseen sources stay zero."""
+    counts = _accel.transition_counts(states, n_states).astype(np.float64)
+    totals = counts.sum(axis=2, keepdims=True)
+    np.divide(counts, totals, out=counts, where=totals > 0)
+    return counts
+
+
 def transition_matrix(states: np.ndarray, n_states: int) -> np.ndarray:
     """Empirical first-order transition probabilities from one state sequence.
 
@@ -93,25 +101,14 @@ def transition_matrix(states: np.ndarray, n_states: int) -> np.ndarray:
         raise ValueError("state sequence must be 1-D with length >= 2")
     if s.min() < 1 or s.max() > n_states:
         raise ValueError("state out of range")
-    counts = np.zeros((n_states, n_states), dtype=np.float64)
-    np.add.at(counts, (s[:-1] - 1, s[1:] - 1), 1.0)
-    totals = counts.sum(axis=1, keepdims=True)
-    nz = totals[:, 0] > 0
-    counts[nz] /= totals[nz]
-    return counts
+    return _transition_probs(s[None], n_states)[0]
 
 
 def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
     """Flattened transition graphs for a batch of windows, shape (N, Q*Q)."""
     w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     q = bounds.n_states
-    states = np.clip(
-        np.searchsorted(bounds.edges, w, side="right"), 1, q
-    ).astype(np.int64)
-    counts = _accel.transition_counts(states, q).astype(np.float64)
-    totals = counts.sum(axis=2, keepdims=True)
-    np.divide(counts, totals, out=counts, where=totals > 0)
-    return counts.reshape(w.shape[0], q * q)
+    return _transition_probs(discretize(w, bounds), q).reshape(w.shape[0], q * q)
 
 
 def flatten_graph(graph: np.ndarray) -> np.ndarray:

@@ -123,14 +123,14 @@ class TestL2Normalize:
 class TestSort:
     def test_forward_and_perm(self):
         t = Tape(record=False)
-        s, perm = ad.sort_ascending(t.leaf([[3.0, 1.0, 2.0]]))
+        s, perm = ad.sort_rows(t.leaf([[3.0, 1.0, 2.0]]))
         assert np.array_equal(s.value, [[1.0, 2.0, 3.0]])
-        assert np.array_equal(perm, [1, 2, 0])
+        assert np.array_equal(perm, [[1, 2, 0]])
 
     def test_sum_grad_is_ones(self):
         t = Tape()
         x = t.leaf([[3.0, 1.0, 2.0]])
-        s, _ = ad.sort_ascending(x)
+        s, _ = ad.sort_rows(x)
         t.backward(ad.sum_all(s))
         assert np.array_equal(x.grad, [[1.0, 1.0, 1.0]])
 
@@ -138,7 +138,7 @@ class TestSort:
         # d sorted[0] / dx = indicator of the argmin position
         t = Tape()
         x = t.leaf([[3.0, 1.0, 2.0]])
-        s, _ = ad.sort_ascending(x)
+        s, _ = ad.sort_rows(x)
         t.backward(ad.sum_all(ad.slice_cols(s, 0, 1)))
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
@@ -155,8 +155,8 @@ class TestSort:
 
     def test_stable_ties(self):
         t = Tape(record=False)
-        _, perm = ad.sort_ascending(t.leaf([[1.0, 1.0, 0.0]]))
-        assert np.array_equal(perm, [2, 0, 1])
+        _, perm = ad.sort_rows(t.leaf([[1.0, 1.0, 0.0]]))
+        assert np.array_equal(perm, [[2, 0, 1]])
 
 
 class TestMiscOps:
@@ -218,6 +218,20 @@ class TestTapeMechanics:
         t = Tape()
         with pytest.raises(FloatingPointError, match="exp"):
             ad.exp(t.leaf([[1e4]]))
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_nonfinite_guard_passes_large_finite_values(self):
+        # the fast-path sum overflows to inf, yet every element is finite
+        t = Tape()
+        big = t.leaf([[1e308, 1e308]])
+        y = ad.add(big, t.leaf([[0.0, 0.0]]))
+        assert np.array_equal(y.value, [[1e308, 1e308]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_guard_still_raises(self, bad):
+        t = Tape()
+        with pytest.raises(FloatingPointError, match="add"):
+            ad.add(t.leaf([[1e308, bad]]), t.leaf([[0.0, 0.0]]))
 
     def test_backward_requires_scalar(self):
         t = Tape()

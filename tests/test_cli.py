@@ -106,6 +106,19 @@ class TestPipelineCommands:
                  "--graphs", gfile, "--out", tmp_path / "s.txt")
         assert rc == 2  # reported as an error, not a traceback
 
+    def test_generate_truncated_checkpoint(self, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 40, 32, 5))
+        rundir = tmp_path / "run"
+        run("train", "--windows", wfile, "--outdir", rundir, "--epochs", "1",
+            "--batch-size", "16", "--embed-dim", "8", "--latent-dim", "2")
+        ckpt = rundir / "checkpoint.g2ts"
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        rc = run("generate", "--checkpoint", ckpt,
+                 "--graphs", rundir / "eval_graphs.txt", "--out", tmp_path / "s.txt")
+        assert rc == 2  # reported as an error, not a traceback
+        assert f"error: {ckpt}: truncated" in capsys.readouterr().err
+
     def test_ablate_grid(self, tmp_path):
         wfile = tmp_path / "w.txt"
         fileio.write_windows(wfile, synth_generate("sine_mix", 60, 32, 6))

@@ -114,6 +114,32 @@ def test_checkpoint_magic_rejected(tmp_path):
         fileio.load_model(p)
 
 
+def _small_checkpoint(tmp_path):
+    cfg = TrainConfig(n_states=3)
+    params = {"dec.b": np.array([[0.5, -1.0, 2.0]]), "w": np.arange(4.0).reshape(2, 2)}
+    bounds = QuantileBoundaries(edges=np.linspace(-1, 1, 4), n_states=3)
+    path = tmp_path / "small.g2ts"
+    fileio.save_model(path, Graph2TS(config=cfg, params=params, boundaries=bounds, best_epoch=1))
+    return path, path.read_bytes()
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path):
+    path, blob = _small_checkpoint(tmp_path)
+    assert fileio.load_model(path).params["w"][1, 1] == 3.0
+    for cut in range(len(blob)):
+        path.write_bytes(blob[:cut])
+        with pytest.raises(ValueError) as info:
+            fileio.load_model(path)
+        assert str(path) in str(info.value), cut
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path, blob = _small_checkpoint(tmp_path)
+    path.write_bytes(blob + b"\x00")
+    with pytest.raises(ValueError, match="1 trailing byte"):
+        fileio.load_model(path)
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = TrainConfig(embed_dim=8, latent_dim=2, seed=3)
     params = init_params(cfg, np.random.default_rng(3))

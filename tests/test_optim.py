@@ -44,6 +44,22 @@ def test_nonfinite_gradient_names_parameter():
         adam_step(store, {"dec.w1": np.array([[1.0, np.nan], [0, 0]])}, lr=0.1)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_large_finite_gradient_is_accepted():
+    # the fast-path sum overflows to inf, yet every element is finite
+    store = ParamStore({"p": np.zeros((1, 2))})
+    adam_step(store, {"p": np.array([[1e308, 1e308]])}, lr=0.1)
+    assert store.step == 1
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_still_raises_beside_large_values(bad):
+    store = ParamStore({"p": np.zeros((1, 2))})
+    with pytest.raises(FloatingPointError, match="'p'"):
+        adam_step(store, {"p": np.array([[1e308, bad]])}, lr=0.1)
+    assert store.step == 0
+
+
 def test_shape_and_missing_grad_errors():
     store = ParamStore({"p": np.ones((2, 2))})
     with pytest.raises(ValueError, match="missing gradient"):
