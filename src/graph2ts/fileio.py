@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from .metrics import MetricsReport, TailStats
-from .model import Graph2TS, LossBreakdown, TrainConfig
+from .model import Graph2TS, LossBreakdown, TrainConfig, init_params
 from .quantile_graph import QuantileBoundaries
 
 __all__ = [
@@ -66,17 +66,29 @@ def _read_header(path, expected: str) -> tuple[str, list[str]]:
 
 
 def _parse_rows(path, lines: list[str], width: int) -> np.ndarray:
+    """Comma-separated finite floats, ``width`` per row; errors name the file and
+    the row (its line number, the header being row 1)."""
     rows = []
+    row_nos = []
     for i, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        vals = [float(tok) for tok in line.split(",")]
+        try:
+            vals = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {i}: {exc}") from None
         if len(vals) != width:
             raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {width}")
         rows.append(vals)
+        row_nos.append(i)
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return np.array(rows)
+    out = np.array(rows)
+    finite = np.isfinite(out).all(axis=1)
+    if not finite.all():
+        bad = row_nos[int(np.argmin(finite))]
+        raise ValueError(f"{path}: row {bad} holds a non-finite value")
+    return out
 
 
 def _header_int(header: str, key: str, path) -> int:
@@ -191,8 +203,26 @@ def save_model(path, model: Graph2TS) -> None:
             fh.write(arr.tobytes(order="C"))
 
 
+def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig) -> None:
+    """Parameter names and shapes must be those ``init_params`` makes for ``config``."""
+    expected = init_params(config, np.random.default_rng(0))
+    missing = sorted(expected.keys() - params.keys())
+    if missing:
+        raise ValueError(f"{path}: parameter '{missing[0]}' missing for this config")
+    extra = sorted(params.keys() - expected.keys())
+    if extra:
+        raise ValueError(f"{path}: unexpected parameter '{extra[0]}' for this config")
+    for name in sorted(expected):
+        if params[name].shape != expected[name].shape:
+            raise ValueError(
+                f"{path}: parameter '{name}' has shape {params[name].shape}, "
+                f"expected {expected[name].shape}"
+            )
+
+
 def load_model(path) -> Graph2TS:
-    """Inverse of save_model; truncation or trailing bytes raise ValueError."""
+    """Inverse of save_model; truncation, trailing bytes or parameters that do not
+    match the config raise ValueError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if not buf.startswith(CKPT_MAGIC):
@@ -226,6 +256,7 @@ def load_model(path) -> Graph2TS:
         params[name] = data.reshape(rows, cols).astype(np.float64)
     if pos != len(buf):
         raise ValueError(f"{path}: {len(buf) - pos} trailing byte(s) after the last array")
+    _check_param_schema(path, params, config)
     bounds = None
     if edges is not None:
         bounds = QuantileBoundaries(edges=np.array(edges), n_states=config.n_states)

@@ -206,12 +206,24 @@ def psd_l2(real, synth) -> float:
 # representativeness and coverage
 # ---------------------------------------------------------------------------
 
+def _proto_err(d_rs: np.ndarray) -> tuple[float, float]:
+    return float(d_rs.mean()), float(np.median(d_rs))
+
+
+def _coverage(d_rs: np.ndarray, nn_r: np.ndarray, q: float) -> float:
+    if nn_r.size < 2:
+        raise ValueError("need at least 2 real windows")
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
+    tau = float(np.quantile(nn_r, q))
+    return float((d_rs <= tau).mean())
+
+
 def proto_err(real, synth) -> tuple[float, float]:
     """Mean and median distance from each real window to its nearest synthetic one."""
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
-    d = _accel.min_dist_to_set(r, s)
-    return float(d.mean()), float(np.median(d))
+    return _proto_err(_accel.min_dist_to_set(r, s))
 
 
 def mdr(real, synth) -> float:
@@ -233,12 +245,7 @@ def coverage(real, synth, q: float) -> float:
     of the real-to-real nearest-neighbor distances (self excluded)."""
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
-    if r.shape[0] < 2:
-        raise ValueError("need at least 2 real windows")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    tau = float(np.quantile(_accel.nn_dist_excl_self(r), q))
-    return float((_accel.min_dist_to_set(r, s) <= tau).mean())
+    return _coverage(_accel.min_dist_to_set(r, s), _accel.nn_dist_excl_self(r), q)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +326,10 @@ def evaluate(
         r = r[np.sort(rng.choice(r.shape[0], s.shape[0], replace=False))]
     elif s.shape[0] > r.shape[0]:
         s = s[np.sort(rng.choice(s.shape[0], r.shape[0], replace=False))]
-    avg, med = proto_err(r, s)
+    # one pass per distance quantity, shared by proto_err and every coverage quantile
+    d_rs = _accel.min_dist_to_set(r, s)
+    nn_r = _accel.nn_dist_excl_self(r)
+    avg, med = _proto_err(d_rs)
     tails_r = tail_stats(r)
     tails_s = tail_stats(s)
     return MetricsReport(
@@ -330,7 +340,7 @@ def evaluate(
         proto_err_avg=avg,
         proto_err_med=med,
         mdr=mdr(r, s),
-        coverage={q: coverage(r, s, q) for q in coverage_quantiles},
+        coverage={q: _coverage(d_rs, nn_r, q) for q in coverage_quantiles},
         tails_real_x=tails_r[0],
         tails_real_dx=tails_r[1],
         tails_synth_x=tails_s[0],

@@ -55,6 +55,70 @@ def test_medoid_tie_takes_lowest_index(sets):
     assert acc.medoid_index(twice) == ref < x.shape[0]
 
 
+def assert_kernels_match_brute(a, b):
+    """All three distance kernels equal the brute-force reference bit for bit."""
+    assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)))
+    d2 = brute_d2(a, a)
+    np.fill_diagonal(d2, np.inf)
+    assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)))
+    for x in (a, b):
+        assert acc.medoid_index(x) == int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1)))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e5])
+def test_gram_scales(sets, scale):
+    a, b = sets
+    assert_kernels_match_brute(a * scale, b * scale)
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e5])
+def test_gram_large_common_offset(sets, scale):
+    # |a|^2 + |b|^2 - 2ab cancels to a few digits: the re-check must restore them
+    a, b = sets
+    assert_kernels_match_brute(a * scale + 1e3 * scale, b * scale + 1e3 * scale)
+
+
+def test_gram_rounded_values_ties_and_copies(sets):
+    a, b = (np.round(x, 1) for x in sets)
+    a = np.vstack([a, a[::9]])  # duplicate rows besides the chance ties
+    assert_kernels_match_brute(a, np.vstack([b, a[::5]]))
+    coarse = np.round(sets[0][:, :3])  # few distinct rows: many exact ties
+    assert_kernels_match_brute(coarse, coarse[::-1].copy())
+
+
+def test_gram_single_column(sets):
+    a, b = (x[:, :1] for x in sets)
+    assert_kernels_match_brute(a, b)
+    assert_kernels_match_brute(np.round(a, 1), np.round(b, 1))
+
+
+def test_gram_single_row_b(sets):
+    a, b = sets
+    assert_kernels_match_brute(a, b[:1])
+    assert np.array_equal(acc.nn_dist_excl_self(b[:1]), [np.inf])
+
+
+def test_medoid_near_ties_need_recheck():
+    # collinear points, an even count: the two middle rows tie up to rounding,
+    # which the Gram sums alone resolve wrongly about half the time
+    rng = np.random.default_rng(0)
+    for offset in (0.0, 1e2 / 3, 1e4 / 3):
+        for _ in range(10):
+            steps = rng.permutation(8)[:, None] * 0.1
+            x = offset + steps * rng.standard_normal((1, 6))
+            assert acc.medoid_index(x) == int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1)))
+
+
+def test_chunked_self_exclusion_with_copies(monkeypatch):
+    # one row per chunk: a copy of row 0 further down must still find it
+    a = np.random.default_rng(5).standard_normal((30, 4))
+    dup = np.vstack([a, a[:3]])
+    d2 = brute_d2(dup, dup)
+    np.fill_diagonal(d2, np.inf)
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", 1)
+    assert np.array_equal(acc.nn_dist_excl_self(dup), np.sqrt(d2.min(axis=1)))
+
+
 def test_transition_counts_paths_agree():
     rng = np.random.default_rng(3)
     s = rng.integers(1, 7, size=(40, 20))

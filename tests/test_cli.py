@@ -119,6 +119,30 @@ class TestPipelineCommands:
         assert rc == 2  # reported as an error, not a traceback
         assert f"error: {ckpt}: truncated" in capsys.readouterr().err
 
+    def test_generate_checkpoint_missing_parameter(self, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 40, 32, 5))
+        rundir = tmp_path / "run"
+        run("train", "--windows", wfile, "--outdir", rundir, "--epochs", "1",
+            "--batch-size", "16", "--embed-dim", "8", "--latent-dim", "2")
+        ckpt = rundir / "checkpoint.g2ts"
+        model = fileio.load_model(ckpt)
+        del model.params["dec.b1"]
+        fileio.save_model(ckpt, model)
+        rc = run("generate", "--checkpoint", ckpt,
+                 "--graphs", rundir / "eval_graphs.txt", "--out", tmp_path / "s.txt")
+        assert rc == 2  # reported as an error, not a KeyError traceback
+        assert f"error: {ckpt}: parameter 'dec.b1' missing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,abc"])
+    def test_stats_rejects_bad_value(self, tmp_path, capsys, row):
+        wfile = tmp_path / "w.txt"
+        wfile.write_text(f"# graph2ts-windows v1 T=2\n0.5,2.0\n1.5,-1.0\n{row}\n")
+        out = tmp_path / "tails.txt"
+        assert run("stats", "--windows", wfile, "--out", out) == 2
+        assert f"error: {wfile}: row 4" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_ablate_grid(self, tmp_path):
         wfile = tmp_path / "w.txt"
         fileio.write_windows(wfile, synth_generate("sine_mix", 60, 32, 6))

@@ -114,18 +114,30 @@ def test_checkpoint_magic_rejected(tmp_path):
         fileio.load_model(p)
 
 
-def _small_checkpoint(tmp_path):
-    cfg = TrainConfig(n_states=3)
-    params = {"dec.b": np.array([[0.5, -1.0, 2.0]]), "w": np.arange(4.0).reshape(2, 2)}
-    bounds = QuantileBoundaries(edges=np.linspace(-1, 1, 4), n_states=3)
+# the smallest config: 13 parameters of at most 4 values each
+SMALL_CFG = TrainConfig(window_length=2, n_states=2, embed_dim=1, latent_dim=1,
+                        variant="deterministic")
+
+
+def _small_checkpoint(tmp_path, drop=None, reshape=None, extra=None):
+    params = init_params(SMALL_CFG, np.random.default_rng(1))
+    params["dec.b2"] = np.array([[0.5, -1.0]])
+    if drop:
+        del params[drop]
+    if reshape:
+        params[reshape] = params[reshape].reshape(1, -1).repeat(2, axis=0)
+    if extra:
+        params[extra] = np.zeros((1, 1))
+    bounds = QuantileBoundaries(edges=np.linspace(-1, 1, 3), n_states=2)
     path = tmp_path / "small.g2ts"
-    fileio.save_model(path, Graph2TS(config=cfg, params=params, boundaries=bounds, best_epoch=1))
+    model = Graph2TS(config=SMALL_CFG, params=params, boundaries=bounds, best_epoch=1)
+    fileio.save_model(path, model)
     return path, path.read_bytes()
 
 
 def test_checkpoint_truncated_at_every_offset(tmp_path):
     path, blob = _small_checkpoint(tmp_path)
-    assert fileio.load_model(path).params["w"][1, 1] == 3.0
+    assert fileio.load_model(path).params["dec.b2"][0, 1] == -1.0
     for cut in range(len(blob)):
         path.write_bytes(blob[:cut])
         with pytest.raises(ValueError) as info:
@@ -138,6 +150,32 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
     path.write_bytes(blob + b"\x00")
     with pytest.raises(ValueError, match="1 trailing byte"):
         fileio.load_model(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"drop": "dec.b1"}, "parameter 'dec.b1' missing"),
+    ({"extra": "post.w1"}, "unexpected parameter 'post.w1'"),
+    ({"reshape": "ts_enc.w1"}, r"'ts_enc.w1' has shape \(2, 2\), expected \(2, 1\)"),
+])
+def test_checkpoint_schema_checked(tmp_path, edit, message):
+    path, _ = _small_checkpoint(tmp_path, **edit)
+    with pytest.raises(ValueError, match=message) as info:
+        fileio.load_model(path)
+    assert str(path) in str(info.value)
+
+
+@pytest.mark.parametrize("row, problem", [
+    ("1.0,nan", "non-finite"),
+    ("inf,1.0", "non-finite"),
+    ("1.0,-inf", "non-finite"),
+    ("1.0,abc", "could not convert"),
+])
+def test_windows_bad_values_name_file_and_row(tmp_path, row, problem):
+    p = tmp_path / "w.txt"
+    p.write_text(f"# graph2ts-windows v1 T=2\n1.0,2.0\n\n{row}\n")
+    with pytest.raises(ValueError, match=problem) as info:
+        fileio.read_windows(p)
+    assert f"{p}: row 4" in str(info.value)
 
 
 def test_checkpoint_bytes_deterministic(tmp_path):

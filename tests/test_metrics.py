@@ -358,3 +358,15 @@ class TestEvaluate:
         a = evaluate(real, synth, seed=3)
         b = evaluate(real, synth, seed=3)
         assert a == b
+
+    def test_shared_distances_match_standalone_metrics(self, rng):
+        # evaluate computes each distance quantity once; the values must be
+        # those of the standalone metric calls, bit for bit
+        real = np.round(rng.standard_normal((60, 16)), 1)
+        synth = np.vstack([real[::4], rng.standard_normal((45, 16))])
+        qs = (0.0, 0.25, 0.5, 0.9, 1.0)
+        rep = evaluate(real, synth, coverage_quantiles=qs)
+        assert (rep.proto_err_avg, rep.proto_err_med) == proto_err(real, synth)
+        assert rep.mdr == mdr(real, synth)
+        for q in qs:
+            assert rep.coverage[q] == coverage(real, synth, q)
