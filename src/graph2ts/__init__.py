@@ -11,7 +11,7 @@ from .dataset import (
     zscore_fit_apply,
 )
 from .metrics import MetricsReport, TailStats, evaluate, tail_stats
-from .model import Graph2TS, LossBreakdown, TrainConfig, generate, train
+from .model import Graph2TS, LossBreakdown, TrainConfig, train
 from .quantile_graph import (
     QuantileBoundaries,
     discretize,
@@ -39,7 +39,6 @@ __all__ = [
     "evaluate",
     "fit_boundaries",
     "flatten_graph",
-    "generate",
     "graph_distance",
     "identity_graph",
     "load_series",

@@ -1,9 +1,15 @@
 """Minimal reverse-mode autodiff on 2-D float64 arrays.
 
-A ``Tape`` records one closure per differentiable op; ``Tape.backward``
-replays them in reverse, accumulating gradients by addition (a value used
-twice receives both contributions). Everything is double precision and
-every op output is guarded against NaN/Inf.
+Every op computes its forward value and hands it, with a ``backward(g)``
+closure, to one helper that guards the value against NaN/Inf and, on a
+recording tape, records the closure. ``Tape.backward`` replays the closures
+in reverse; a closure runs only if its output received a gradient.
+Gradients accumulate by out-of-place addition (a value used twice receives
+both contributions), so an op may hand one array to several inputs.
+
+The model's two-layer blocks are a single op, ``mlp2``
+(``relu(x @ w1 + b1) @ w2 + b2``), which keeps only the post-activation
+and the ReLU mask for its backward.
 
 Conventions: all tracked values are 2-D (scalars are (1, 1), vectors are
 (1, n) or (n, 1) as noted per op). Inputs that need no gradient are still
@@ -19,8 +25,7 @@ import numpy as np
 __all__ = [
     "Tape",
     "Var",
-    "affine",
-    "relu",
+    "mlp2",
     "l2_normalize_rows",
     "sort_rows",
     "matmul_nt",
@@ -43,7 +48,7 @@ __all__ = [
 
 
 class Var:
-    """A tape-tracked 2-D array with a lazily allocated gradient buffer."""
+    """A tape-tracked 2-D array; ``grad`` stays None until a gradient reaches it."""
 
     __slots__ = ("value", "grad", "tape")
 
@@ -61,7 +66,7 @@ class Tape:
     """Records backward closures; single-threaded, one backward per forward."""
 
     def __init__(self, record: bool = True):
-        self._ops: list[Callable[[], None]] = []
+        self._ops: list[tuple[Var, Callable[[np.ndarray], None]]] = []
         self.recording = record
 
     def leaf(self, value) -> Var:
@@ -82,11 +87,12 @@ class Tape:
         if out.value.shape != (1, 1):
             raise ValueError("backward requires a scalar (1, 1) output")
         out.grad = np.ones((1, 1))
-        # consume the closures: the tape -> closure -> Var -> tape reference
+        # consume the records: the tape -> record -> Var -> tape reference
         # cycle would otherwise keep every intermediate alive until a gc pass
         ops, self._ops = self._ops, []
-        for fn in reversed(ops):
-            fn()
+        for var, fn in reversed(ops):
+            if var.grad is not None:
+                fn(var.grad)
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
@@ -96,328 +102,214 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise FloatingPointError(f"non-finite value produced by op '{op}'")
 
 
-def _out(tape: Tape, value: np.ndarray, op: str) -> Var:
+def _out(
+    tape: Tape, value: np.ndarray, op: str, backward: Callable[[np.ndarray], None]
+) -> Var:
+    """Guard ``value``, wrap it, and record ``backward(g)`` if the tape records."""
     _check_finite(value, op)
-    return Var(value, tape)
+    out = Var(value, tape)
+    if tape.recording:
+        tape._ops.append((out, backward))
+    return out
 
 
 def _acc(v: Var, g: np.ndarray) -> None:
-    if v.grad is None:
-        v.grad = np.zeros_like(v.value)
-    v.grad += g
+    # the first contribution is kept by reference, so later ones must be added
+    # out of place: add/sub hand the same g to both of their inputs
+    v.grad = g if v.grad is None else v.grad + g
 
 
 # ---------------------------------------------------------------------------
 # ops
 # ---------------------------------------------------------------------------
 
-def affine(x: Var, w: Var, b: Var) -> Var:
-    """y = x @ w + b with b a (1, m) row; dX = g Wᵀ, dW = Xᵀ g, db = colsum g."""
-    t = x.tape
-    if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
+def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """Two-layer block relu(x @ w1 + b1) @ w2 + b2; b1, b2 are (1, m) rows.
+
+    The ReLU subgradient at 0 is 0. Only the post-activation and its mask
+    are kept for the backward; the pre-activation is overwritten in place.
+    """
+    hidden = w1.value.shape[1]
+    if (x.value.shape[1] != w1.value.shape[0] or b1.value.shape != (1, hidden)
+            or w2.value.shape[0] != hidden or b2.value.shape != (1, w2.value.shape[1])):
         raise ValueError(
-            f"affine shape mismatch: x{x.value.shape} w{w.value.shape} b{b.value.shape}"
+            f"mlp2 shape mismatch: x{x.value.shape} w1{w1.value.shape} "
+            f"b1{b1.value.shape} w2{w2.value.shape} b2{b2.value.shape}"
         )
-    out = _out(t, x.value @ w.value + b.value, "affine")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g @ w.value.T)
-            _acc(w, x.value.T @ g)
-            _acc(b, g.sum(axis=0, keepdims=True))
-        t._ops.append(bwd)
-    return out
+    h = x.value @ w1.value
+    h += b1.value
+    _check_finite(h, "mlp2")  # before the ReLU, which would map NaN to 0
+    mask = h > 0.0
+    h[~mask] = 0.0
+    y = h @ w2.value
+    y += b2.value
+
+    def backward(g):
+        _acc(w2, h.T @ g)
+        _acc(b2, g.sum(axis=0, keepdims=True))
+        gh = g @ w2.value.T
+        gh *= mask
+        _acc(x, gh @ w1.value.T)
+        _acc(w1, x.value.T @ gh)
+        _acc(b1, gh.sum(axis=0, keepdims=True))
+
+    return _out(x.tape, y, "mlp2", backward)
 
 
 def matmul_nt(a: Var, b: Var) -> Var:
     """out = a @ bᵀ; da = g b, db = gᵀ a."""
-    t = a.tape
-    out = _out(t, a.value @ b.value.T, "matmul_nt")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g @ b.value)
-            _acc(b, g.T @ a.value)
-        t._ops.append(bwd)
-    return out
+    def backward(g):
+        _acc(a, g @ b.value)
+        _acc(b, g.T @ a.value)
 
-
-def relu(x: Var) -> Var:
-    """max(0, x); subgradient at 0 is 0."""
-    t = x.tape
-    mask = x.value > 0.0
-    out = _out(t, np.where(mask, x.value, 0.0), "relu")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g * mask)
-        t._ops.append(bwd)
-    return out
+    return _out(a.tape, a.value @ b.value.T, "matmul_nt", backward)
 
 
 def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     """Rows scaled to unit Euclidean norm; dX = (g - y (y·g)) / ‖x‖ per row."""
-    t = x.tape
     norms = np.sqrt((x.value * x.value).sum(axis=1, keepdims=True))
     if (norms <= eps).any():
         raise ValueError("l2_normalize_rows: near-zero row norm")
     y = x.value / norms
-    out = _out(t, y, "l2_normalize_rows")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, (g - y * (y * g).sum(axis=1, keepdims=True)) / norms)
-        t._ops.append(bwd)
-    return out
+    return _out(
+        x.tape, y, "l2_normalize_rows",
+        lambda g: _acc(x, (g - y * (y * g).sum(axis=1, keepdims=True)) / norms),
+    )
 
 
 def sort_rows(x: Var) -> tuple[Var, np.ndarray]:
     """Sort each row ascending (stable); backward scatters through the permutation."""
-    t = x.tape
     perm = np.argsort(x.value, axis=1, kind="stable")
     rows = np.arange(x.value.shape[0])[:, None]
-    out = _out(t, x.value[rows, perm], "sort_rows")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            back = np.zeros_like(x.value)
-            back[rows, perm] = g  # perm rows are permutations: no collisions
-            _acc(x, back)
-        t._ops.append(bwd)
-    return out, perm
+
+    def backward(g):
+        back = np.zeros_like(x.value)
+        back[rows, perm] = g  # perm rows are permutations: no collisions
+        _acc(x, back)
+
+    return _out(x.tape, x.value[rows, perm], "sort_rows", backward), perm
 
 
 def transpose(x: Var) -> Var:
-    t = x.tape
-    out = _out(t, np.ascontiguousarray(x.value.T), "transpose")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g.T)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, np.ascontiguousarray(x.value.T), "transpose",
+                lambda g: _acc(x, g.T))
 
 
 def concat_cols(a: Var, b: Var) -> Var:
-    t = a.tape
     if a.value.shape[0] != b.value.shape[0]:
         raise ValueError("concat_cols: row mismatch")
     na = a.value.shape[1]
-    out = _out(t, np.hstack([a.value, b.value]), "concat_cols")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g[:, :na])
-            _acc(b, g[:, na:])
-        t._ops.append(bwd)
-    return out
+
+    def backward(g):
+        _acc(a, g[:, :na])
+        _acc(b, g[:, na:])
+
+    return _out(a.tape, np.hstack([a.value, b.value]), "concat_cols", backward)
 
 
 def slice_cols(x: Var, j0: int, j1: int) -> Var:
-    t = x.tape
-    out = _out(t, x.value[:, j0:j1].copy(), "slice_cols")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            back = np.zeros_like(x.value)
-            back[:, j0:j1] = g
-            _acc(x, back)
-        t._ops.append(bwd)
-    return out
+    def backward(g):
+        back = np.zeros_like(x.value)
+        back[:, j0:j1] = g
+        _acc(x, back)
+
+    return _out(x.tape, x.value[:, j0:j1].copy(), "slice_cols", backward)
 
 
 def add(a: Var, b: Var) -> Var:
-    t = a.tape
     if a.value.shape != b.value.shape:
         raise ValueError("add: shape mismatch")
-    out = _out(t, a.value + b.value, "add")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g)
-            _acc(b, g)
-        t._ops.append(bwd)
-    return out
+
+    def backward(g):
+        _acc(a, g)
+        _acc(b, g)
+
+    return _out(a.tape, a.value + b.value, "add", backward)
 
 
 def sub(a: Var, b: Var) -> Var:
-    t = a.tape
     if a.value.shape != b.value.shape:
         raise ValueError("sub: shape mismatch")
-    out = _out(t, a.value - b.value, "sub")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(a, g)
-            _acc(b, -g)
-        t._ops.append(bwd)
-    return out
+
+    def backward(g):
+        _acc(a, g)
+        _acc(b, -g)
+
+    return _out(a.tape, a.value - b.value, "sub", backward)
 
 
 def mul(a: Var, b: Var) -> Var:
     """Elementwise product; shapes must match, or one operand is (1, 1)."""
-    t = a.tape
     sa, sb = a.value.shape, b.value.shape
     if sa != sb and sa != (1, 1) and sb != (1, 1):
         raise ValueError(f"mul: incompatible shapes {sa} x {sb}")
-    out = _out(t, a.value * b.value, "mul")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            ga = g * b.value
-            gb = g * a.value
-            if ga.shape != sa:
-                ga = ga.sum().reshape(1, 1)
-            if gb.shape != sb:
-                gb = gb.sum().reshape(1, 1)
-            _acc(a, ga)
-            _acc(b, gb)
-        t._ops.append(bwd)
-    return out
+
+    def backward(g):
+        ga = g * b.value
+        gb = g * a.value
+        if ga.shape != sa:
+            ga = ga.sum().reshape(1, 1)
+        if gb.shape != sb:
+            gb = gb.sum().reshape(1, 1)
+        _acc(a, ga)
+        _acc(b, gb)
+
+    return _out(a.tape, a.value * b.value, "mul", backward)
 
 
 def add_const(x: Var, c) -> Var:
-    t = x.tape
-    out = _out(t, x.value + c, "add_const")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, x.value + c, "add_const", lambda g: _acc(x, g))
 
 
 def scale(x: Var, c) -> Var:
     """Multiply by an untracked scalar or same-shape constant array."""
-    t = x.tape
-    out = _out(t, x.value * c, "scale")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g * c)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, x.value * c, "scale", lambda g: _acc(x, g * c))
 
 
 def exp(x: Var) -> Var:
-    t = x.tape
     with np.errstate(over="ignore"):  # overflow becomes inf, caught by the guard
         y = np.exp(x.value)
-    out = _out(t, y, "exp")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g * y)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, y, "exp", lambda g: _acc(x, g * y))
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
     """Clip to [lo, hi]; gradient passes where lo <= x <= hi, else 0."""
-    t = x.tape
     mask = (x.value >= lo) & (x.value <= hi)
-    out = _out(t, np.clip(x.value, lo, hi), "clamp")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g * mask)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, np.clip(x.value, lo, hi), "clamp", lambda g: _acc(x, g * mask))
 
 
 def logsumexp_rows(x: Var) -> Var:
     """Row-wise log-sum-exp as a (B, 1) column; backward is the row softmax."""
-    t = x.tape
     m = x.value.max(axis=1, keepdims=True)
     e = np.exp(x.value - m)
     s = e.sum(axis=1, keepdims=True)
-    out = _out(t, m + np.log(s), "logsumexp_rows")
-    if t.recording:
-        soft = e / s
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, g * soft)
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, m + np.log(s), "logsumexp_rows", lambda g: _acc(x, g * (e / s)))
 
 
 def take_diag(x: Var) -> Var:
     """Main diagonal of a square matrix as a (B, 1) column."""
-    t = x.tape
     n = x.value.shape[0]
     if x.value.shape[1] != n:
         raise ValueError("take_diag expects a square matrix")
     idx = np.arange(n)
-    out = _out(t, x.value[idx, idx].reshape(n, 1).copy(), "take_diag")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            back = np.zeros_like(x.value)
-            back[idx, idx] = g[:, 0]
-            _acc(x, back)
-        t._ops.append(bwd)
-    return out
+
+    def backward(g):
+        back = np.zeros_like(x.value)
+        back[idx, idx] = g[:, 0]
+        _acc(x, back)
+
+    return _out(x.tape, x.value[idx, idx].reshape(n, 1).copy(), "take_diag", backward)
 
 
 def sum_all(x: Var) -> Var:
-    t = x.tape
-    out = _out(t, x.value.sum().reshape(1, 1), "sum_all")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, np.full_like(x.value, g[0, 0]))
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, x.value.sum().reshape(1, 1), "sum_all",
+                lambda g: _acc(x, np.full_like(x.value, g[0, 0])))
 
 
 def mean_all(x: Var) -> Var:
-    t = x.tape
     n = x.value.size
-    out = _out(t, x.value.mean().reshape(1, 1), "mean_all")
-    if t.recording:
-        def bwd():
-            g = out.grad
-            if g is None:
-                return
-            _acc(x, np.full_like(x.value, g[0, 0] / n))
-        t._ops.append(bwd)
-    return out
+    return _out(x.tape, x.value.mean().reshape(1, 1), "mean_all",
+                lambda g: _acc(x, np.full_like(x.value, g[0, 0] / n)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 from . import dataset, fileio, metrics
 from .autodiff import grad_check
 from .model import (
+    VARIANTS,
     TrainConfig,
     batch_objective,
     beta_schedule,
@@ -35,20 +36,20 @@ from .quantile_graph import (
 
 logger = logging.getLogger(__name__)
 
-_INT_KEYS = {
-    "window_length", "n_states", "embed_dim", "latent_dim",
-    "kl_warmup_epochs", "batch_size", "epochs", "seed", "stride",
-}
-_FLOAT_KEYS = {"w_align", "w_recon", "w_dist", "beta_max", "lr", "eval_fraction"}
-_STR_KEYS = {"variant"}
+
+def _config_keys(type_name: str) -> set[str]:
+    # model.py postpones annotations, so each field's type is its annotation string
+    return {f.name for f in dataclasses.fields(TrainConfig) if f.type == type_name}
+
+
+_INT_KEYS = _config_keys("int") | {"stride"}
+_FLOAT_KEYS = _config_keys("float") | {"eval_fraction"}
+_STR_KEYS = _config_keys("str")
 _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _EXTRA_DEFAULTS = {"eval_fraction": 0.2, "stride": None}
 
-ABLATION_GRID = (
-    "full", "no_graph", "deterministic",
-    "w_recon=0", "w_align=0", "w_dist=0", "beta_max=0",
-)
+ABLATION_GRID = VARIANTS + ("w_recon=0", "w_align=0", "w_dist=0", "beta_max=0")
 
 ABLATION_MAGIC = "# graph2ts-ablation v1"
 GRADCHECK_MAGIC = "# graph2ts-gradcheck v1"
@@ -207,7 +208,7 @@ def cmd_stats(args) -> int:
 
 
 def _ablation_config(base: TrainConfig, label: str) -> TrainConfig:
-    if label in ("full", "no_graph", "deterministic"):
+    if label in VARIANTS:
         return dataclasses.replace(base, variant=label)
     key, _ = label.split("=")
     return dataclasses.replace(base, variant="full", **{key: 0.0})
@@ -232,7 +233,7 @@ def cmd_ablate(args) -> int:
         rep = dict(report.as_items())
         rows.append([label] + [rep[c] for c in columns[1:]])
         logger.info("ablate: %s done", label)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with fileio.atomic_open(args.out) as fh:
         fh.write(ABLATION_MAGIC + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -269,7 +270,7 @@ def cmd_gradcheck(args) -> int:
     status = "PASS" if worst <= args.tolerance else "FAIL"
     n_coords = sum(p.size for p in params.values())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with fileio.atomic_open(args.out) as fh:
             fh.write(GRADCHECK_MAGIC + "\n")
             fh.write(f"batch={args.batch}\n")
             fh.write(f"h={repr(args.h)}\n")
@@ -323,8 +324,7 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
         g.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     for key in sorted(_FLOAT_KEYS):
         g.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    g.add_argument("--variant", dest="variant",
-                   choices=("full", "no_graph", "deterministic"))
+    g.add_argument("--variant", dest="variant", choices=VARIANTS)
 
 
 def build_parser() -> argparse.ArgumentParser:

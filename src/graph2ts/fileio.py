@@ -4,13 +4,17 @@ Text artifacts start with a `# graph2ts-<kind> v1 ...` header line and hold
 comma-separated values; floats are written with repr so re-reading is exact
 and runs with identical seeds produce byte-identical files. The checkpoint is
 a little-endian binary container of named 2-D float64 arrays preceded by a
-JSON echo of the training config.
+JSON echo of the training config. Every writer goes through ``atomic_open``,
+so an artifact is either the old file or the complete new one, never a
+half-written mix.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
@@ -20,6 +24,7 @@ from .model import Graph2TS, LossBreakdown, TrainConfig, init_params
 from .quantile_graph import QuantileBoundaries
 
 __all__ = [
+    "atomic_open",
     "write_windows",
     "read_windows",
     "write_graphs",
@@ -50,8 +55,30 @@ def _fmt(v: float) -> str:
     return repr(float(v))
 
 
+@contextmanager
+def atomic_open(path, binary: bool = False):
+    """Write through a temporary file in the target directory, moved over ``path``
+    with ``os.replace`` once the block succeeds. On error the temporary file is
+    removed and any old file at ``path`` is left untouched."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    try:
+        # exclusive create: a fresh file with the permissions a plain open() gives
+        fh = open(tmp, "xb" if binary else "x", encoding=None if binary else "utf-8")
+    except OSError as exc:
+        exc.filename = os.fspath(path)  # report the artifact, not its temporary name
+        raise
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
+
+
 def _write_matrix_file(path, magic: str, rows: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(magic + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -135,7 +162,7 @@ def read_boundaries(path) -> QuantileBoundaries:
 
 
 def write_loss_log(path, log: list[LossBreakdown]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(LOSSLOG_MAGIC + "\n")
         fh.write("epoch,align,recon,dist,kl,beta,total\n")
         for epoch, e in enumerate(log):
@@ -146,7 +173,7 @@ def write_loss_log(path, log: list[LossBreakdown]) -> None:
 
 
 def _write_kv(path, magic: str, items) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(magic + "\n")
         for key, value in items:
             fh.write(f"{key}={_fmt(value)}\n")
@@ -163,7 +190,7 @@ def write_tail_stats(path, x_stats: TailStats, dx_stats: TailStats) -> None:
 def write_curve(path, name: str, values: np.ndarray) -> None:
     """One plot-ready value per row (lag or frequency-bin index implied)."""
     v = np.asarray(values, dtype=np.float64).ravel()
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         fh.write(f"{CURVE_MAGIC} name={name} N={v.size}\n")
         for x in v:
             fh.write(_fmt(x) + "\n")
@@ -188,7 +215,7 @@ def save_model(path, model: Graph2TS) -> None:
         if model.boundaries is None
         else list(map(float, model.boundaries.edges)),
     }
-    with open(path, "wb") as fh:
+    with atomic_open(path, binary=True) as fh:
         fh.write(CKPT_MAGIC)
         fh.write(json.dumps(meta, sort_keys=True).encode("utf-8") + b"\n")
         fh.write(struct.pack("<I", len(model.params)))

@@ -96,6 +96,8 @@ def _as_windows(x, name: str) -> np.ndarray:
     w = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if w.size == 0:
         raise ValueError(f"{name} set is empty")
+    if not np.isfinite(w).all():
+        raise ValueError(f"{name} set holds a non-finite value")
     return w
 
 

@@ -53,7 +53,6 @@ __all__ = [
     "batch_objective",
     "objective_value",
     "train",
-    "generate",
 ]
 
 VARIANTS = ("full", "no_graph", "deterministic")
@@ -144,8 +143,7 @@ def init_params(config: TrainConfig, rng: np.random.Generator) -> dict[str, np.n
 
 
 def _mlp2(p: dict[str, Var], prefix: str, x: Var) -> Var:
-    h = ad.relu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-    return ad.affine(h, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
+    return ad.mlp2(x, *(p[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")))
 
 
 def encode_ts(p: dict[str, Var], x: Var) -> Var:
@@ -480,10 +478,3 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
     model = Graph2TS(config=config, params=best_params, boundaries=bounds,
                      best_epoch=best_epoch)
     return model, log
-
-
-def generate(
-    model: Graph2TS, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0
-) -> np.ndarray:
-    """Functional alias for :meth:`Graph2TS.generate`."""
-    return model.generate(graphs, n_per_graph=n_per_graph, seed=seed)

@@ -46,54 +46,106 @@ def _assert_match(f, params, rtol=1e-6):
         assert np.abs(an[k] - fd[k]).max() <= rtol * denom.max(), k
 
 
+def _identity_mlp2(x, n):
+    """mlp2 with identity weights and zero biases: the output is relu(x)."""
+    t = x.tape
+    eye, zero = t.leaf(np.eye(n)), t.leaf(np.zeros((1, n)))
+    return ad.mlp2(x, eye, zero, eye, zero)
+
+
+def _mlp2_params(rng, n_in, hidden, n_out):
+    return {
+        "w1": rng.standard_normal((n_in, hidden)),
+        "b1": rng.standard_normal((1, hidden)),
+        "w2": rng.standard_normal((hidden, n_out)),
+        "b2": rng.standard_normal((1, n_out)),
+    }
+
+
+def _mlp2_of(p, x):
+    return ad.mlp2(x, p["w1"], p["b1"], p["w2"], p["b2"])
+
+
 class TestAffine:
+    """The two affine layers of ``mlp2``."""
+
     def test_identity(self):
         t = Tape(record=False)
-        y = ad.affine(t.leaf([[1.0, 0.0]]), t.leaf(np.eye(2)), t.leaf(np.zeros((1, 2))))
-        assert np.array_equal(y.value, [[1.0, 0.0]])
+        assert np.array_equal(_identity_mlp2(t.leaf([[1.0, 0.0]]), 2).value, [[1.0, 0.0]])
 
     def test_bias_grad_is_ones(self):
         t = Tape()
         x = t.leaf(np.random.default_rng(0).standard_normal((3, 2)))
-        w = t.leaf(np.random.default_rng(1).standard_normal((2, 4)))
-        b = t.leaf(np.zeros((1, 4)))
-        t.backward(ad.sum_all(ad.affine(x, w, b)))
-        assert np.array_equal(b.grad, 3 * np.ones((1, 4)))
+        w1 = t.leaf(np.random.default_rng(1).standard_normal((2, 5)))
+        b1 = t.leaf(np.zeros((1, 5)))
+        w2 = t.leaf(np.random.default_rng(2).standard_normal((5, 4)))
+        b2 = t.leaf(np.zeros((1, 4)))
+        t.backward(ad.sum_all(ad.mlp2(x, w1, b1, w2, b2)))
+        assert np.array_equal(b2.grad, 3 * np.ones((1, 4)))
 
     def test_fd(self, rng):
-        params = {
-            "x": rng.standard_normal((3, 4)),
-            "w": rng.standard_normal((4, 2)),
-            "b": rng.standard_normal((1, 2)),
-        }
+        params = _mlp2_params(rng, 4, 5, 2)
+        params["x"] = rng.standard_normal((3, 4))
         _assert_match(
-            lambda p: ad.mean_all(ad.mul(
-                ad.affine(p["x"], p["w"], p["b"]), ad.affine(p["x"], p["w"], p["b"])
-            )),
+            lambda p: ad.mean_all(ad.mul(_mlp2_of(p, p["x"]), _mlp2_of(p, p["x"]))),
             params,
         )
 
     def test_shape_mismatch(self):
         t = Tape()
-        with pytest.raises(ValueError):
-            ad.affine(t.leaf(np.ones((2, 3))), t.leaf(np.ones((2, 2))), t.leaf(np.ones((1, 2))))
+        x = t.leaf(np.ones((2, 3)))
+        w1, b1 = t.leaf(np.ones((3, 4))), t.leaf(np.ones((1, 4)))
+        w2, b2 = t.leaf(np.ones((4, 2))), t.leaf(np.ones((1, 2)))
+        bad = t.leaf(np.ones((2, 2)))
+        for args in ((x, bad, b1, w2, b2), (x, w1, bad, w2, b2),
+                     (x, w1, b1, bad, b2), (x, w1, b1, w2, bad)):
+            with pytest.raises(ValueError, match="mlp2 shape mismatch"):
+                ad.mlp2(*args)
 
 
 class TestRelu:
+    """The ReLU between the layers of ``mlp2``, seen through identity layers."""
+
     def test_forward(self):
         t = Tape(record=False)
-        assert np.array_equal(ad.relu(t.leaf([[-1.0, 0.0, 2.0]])).value, [[0, 0, 2]])
+        assert np.array_equal(_identity_mlp2(t.leaf([[-1.0, 0.0, 2.0]]), 3).value, [[0, 0, 2]])
 
     def test_grad(self):
+        # the subgradient at the kink (0) is 0
         t = Tape()
-        x = t.leaf([[-1.0, 2.0]])
-        t.backward(ad.sum_all(ad.relu(x)))
-        assert np.array_equal(x.grad, [[0.0, 1.0]])
+        x = t.leaf([[-1.0, 0.0, 2.0]])
+        t.backward(ad.sum_all(_identity_mlp2(x, 3)))
+        assert np.array_equal(x.grad, [[0.0, 0.0, 1.0]])
 
     def test_fd_away_from_kink(self, rng):
         x = rng.standard_normal((4, 5))
         x[np.abs(x) < 1e-3] = 0.5
-        _assert_match(lambda p: ad.sum_all(ad.mul(ad.relu(p["x"]), ad.relu(p["x"]))), {"x": x})
+
+        def f(p):
+            y = _identity_mlp2(p["x"], 5)
+            return ad.sum_all(ad.mul(y, y))
+
+        _assert_match(f, {"x": x})
+
+
+class TestMlp2:
+    def test_matches_plain_numpy(self, rng):
+        p = _mlp2_params(rng, 4, 6, 3)
+        x = rng.standard_normal((5, 4))
+        t = Tape(record=False)
+        y = ad.mlp2(t.leaf(x), *(t.leaf(p[k]) for k in ("w1", "b1", "w2", "b2")))
+        plain = np.maximum(x @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
+        assert np.array_equal(y.value, plain)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_pre_activation_raises(self):
+        # inf - inf = NaN before the ReLU, which would silently map it to 0
+        t = Tape()
+        x = t.leaf([[1.0, 1.0]])
+        w1, b1 = t.leaf([[np.inf], [-np.inf]]), t.leaf([[0.0]])
+        w2, b2 = t.leaf([[1.0]]), t.leaf([[0.0]])
+        with pytest.raises(FloatingPointError, match="'mlp2'"):
+            ad.mlp2(x, w1, b1, w2, b2)
 
 
 class TestL2Normalize:
@@ -237,7 +289,25 @@ class TestTapeMechanics:
         t = Tape()
         x = t.leaf(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            t.backward(ad.relu(x))
+            t.backward(_identity_mlp2(x, 2))
+
+    def test_shared_gradient_not_mutated(self):
+        # add hands one gradient array to both a and b; a's second
+        # contribution (from scale, replayed later) must not leak into b
+        t = Tape()
+        a = t.leaf([[1.0, 2.0]])
+        b = t.leaf([[3.0, 4.0]])
+        u = ad.scale(a, 3.0)
+        s = ad.add(a, b)
+        t.backward(ad.add(ad.sum_all(ad.scale(s, np.array([[5.0, 7.0]]))), ad.sum_all(u)))
+        assert np.array_equal(a.grad, [[8.0, 10.0]])
+        assert np.array_equal(b.grad, [[5.0, 7.0]])
+
+    def test_inference_tape_records_nothing(self):
+        t = Tape(record=False)
+        x = t.leaf([[1.0, -2.0]])
+        ad.sum_all(ad.mul(_identity_mlp2(x, 2), x))
+        assert t._ops == []
 
     def test_cross_tape_rejected(self):
         t1, t2 = Tape(), Tape()
@@ -253,14 +323,11 @@ class TestGradCheck:
         assert err <= 1e-9
 
     def test_affine_relu_composite(self, rng):
-        params = {
-            "w": rng.standard_normal((5, 4)),
-            "b": rng.standard_normal((1, 4)),
-        }
+        params = _mlp2_params(rng, 5, 4, 3)
         x = rng.standard_normal((6, 5))
 
         def f(p):
-            h = ad.relu(ad.affine(p["w"].tape.leaf(x), p["w"], p["b"]))
+            h = _mlp2_of(p, p["w1"].tape.leaf(x))
             return ad.mean_all(ad.mul(h, h))
 
         assert grad_check(f, params) <= 1e-5
@@ -290,9 +357,11 @@ class TestGradCheck:
         # per-op property: analytic gradient matches central differences at
         # 100 random evaluation points (kink-adjacent probes refine away)
         c = rng.standard_normal((3, 4))
+        block = _mlp2_params(rng, 4, 5, 4)
 
         def ops(p):
-            yield ad.sum_all(ad.scale(ad.relu(p["x"]), c))
+            const = {k: p["x"].tape.leaf(v) for k, v in block.items()}
+            yield ad.sum_all(ad.scale(_mlp2_of(const, p["x"]), c))
             yield ad.sum_all(ad.scale(ad.l2_normalize_rows(ad.add_const(p["x"], 3.0)), c))
             yield ad.mean_all(ad.scale(ad.exp(ad.scale(p["x"], 0.5)), c))
             yield ad.sum_all(ad.scale(ad.clamp(p["x"], -0.5, 0.5), c))
@@ -327,8 +396,7 @@ class TestGradCheck:
             x = rng.standard_normal((4, 4))
 
             def f(p):
-                h = ad.relu(ad.affine(p["w1"].tape.leaf(x), p["w1"], p["b1"]))
-                e = ad.affine(h, p["w2"], p["b2"])
+                e = _mlp2_of(p, p["w1"].tape.leaf(x))
                 en = ad.l2_normalize_rows(e)
                 s = ad.mul(ad.matmul_nt(en, en), ad.exp(ad.scale(p["lt"], -1.0)))
                 srt, _ = ad.sort_rows(s)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from graph2ts import fileio
-from graph2ts.cli import load_config_file, main
+from graph2ts.cli import build_parser, load_config_file, main, resolve_config
 from graph2ts.dataset import synth_generate
+from graph2ts.model import TrainConfig
 
 
 @pytest.fixture
@@ -39,6 +42,22 @@ class TestConfigFile:
         assert run("ingest", "--input", series_file, "--out", out,
                    "--config", p, "--window-length", "16") == 0
         assert fileio.read_windows(out).shape[1] == 16
+
+
+    def test_every_train_config_field_is_a_key_and_a_flag(self, tmp_path):
+        changed = {"int": "3", "float": "0.5", "str": "no_graph"}
+        for f in dataclasses.fields(TrainConfig):
+            raw = changed[f.type]
+            cfg_file = tmp_path / f"{f.name}.cfg"
+            cfg_file.write_text(f"{f.name} = {raw}\n")
+            from_file = build_parser().parse_args(
+                ["stats", "--windows", "w", "--out", "o", "--config", str(cfg_file)])
+            from_flag = build_parser().parse_args(
+                ["stats", "--windows", "w", "--out", "o",
+                 f"--{f.name.replace('_', '-')}", raw])
+            for args in (from_file, from_flag):
+                config, _ = resolve_config(args)
+                assert str(getattr(config, f.name)) == raw, f.name
 
 
 class TestPipelineCommands:

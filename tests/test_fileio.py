@@ -198,3 +198,38 @@ def test_curve_and_embeddings(tmp_path, rng):
     fileio.write_embeddings(tmp_path / "e.txt", emb)
     first = (tmp_path / "e.txt").read_text().splitlines()[0]
     assert first == "# graph2ts-embeddings v1 D=8"
+
+
+def test_failed_write_keeps_old_file(tmp_path, rng, monkeypatch):
+    path = tmp_path / "w.txt"
+    fileio.write_windows(path, rng.standard_normal((5, 4)))
+    before = path.read_bytes()
+    calls = []
+
+    def failing_fmt(v):
+        calls.append(v)
+        if len(calls) > 6:  # partway through the second row
+            raise RuntimeError("disk full")
+        return repr(float(v))
+
+    monkeypatch.setattr(fileio, "_fmt", failing_fmt)
+    with pytest.raises(RuntimeError, match="disk full"):
+        fileio.write_windows(path, rng.standard_normal((5, 4)))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
+
+
+def test_overwrite_leaves_no_temporary_file(tmp_path, rng):
+    path = tmp_path / "w.txt"
+    fileio.write_windows(path, rng.standard_normal((5, 4)))
+    new = rng.standard_normal((2, 3))
+    fileio.write_windows(path, new)
+    assert np.array_equal(fileio.read_windows(path), new)
+    assert [p.name for p in tmp_path.iterdir()] == ["w.txt"]
+
+
+def test_missing_directory_error_names_the_artifact(tmp_path):
+    path = tmp_path / "nodir" / "w.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        fileio.write_windows(path, np.ones((1, 2)))
+    assert info.value.filename == str(path)

@@ -205,6 +205,13 @@ class TestProtoErr:
         extra = np.vstack([s, rng.standard_normal((10, 4))])
         assert proto_err(r, extra)[0] <= proto_err(r, s)[0] + 1e-15
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_synth_rejected(self, rng, bad):
+        s = rng.standard_normal((10, 4))
+        s[3, 1] = bad
+        with pytest.raises(ValueError, match="synth set holds a non-finite value"):
+            proto_err(rng.standard_normal((10, 4)), s)
+
 
 class TestMDR:
     def test_identical(self, rng):
@@ -370,3 +377,10 @@ class TestEvaluate:
         assert rep.mdr == mdr(real, synth)
         for q in qs:
             assert rep.coverage[q] == coverage(real, synth, q)
+
+    def test_nonfinite_window_rejected(self, rng):
+        # one NaN window used to give proto_err_avg=nan and medoid 0 silently
+        real = rng.standard_normal((30, 4))
+        real[7, 2] = np.nan
+        with pytest.raises(ValueError, match="real set holds a non-finite value"):
+            evaluate(real, rng.standard_normal((30, 4)))
