@@ -9,7 +9,7 @@ both contributions), so an op may hand one array to several inputs.
 
 The model's two-layer blocks are a single op, ``mlp2``
 (``relu(x @ w1 + b1) @ w2 + b2``), which keeps only the post-activation
-and the ReLU mask for its backward.
+for its backward: the ReLU mask is re-derived from it there.
 
 Conventions: all tracked values are 2-D (scalars are (1, 1), vectors are
 (1, n) or (n, 1) as noted per op). Inputs that need no gradient are still
@@ -56,10 +56,6 @@ class Var:
         self.value = value
         self.grad = None
         self.tape = tape
-
-    @property
-    def shape(self):
-        return self.value.shape
 
 
 class Tape:
@@ -126,8 +122,10 @@ def _acc(v: Var, g: np.ndarray) -> None:
 def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     """Two-layer block relu(x @ w1 + b1) @ w2 + b2; b1, b2 are (1, m) rows.
 
-    The ReLU subgradient at 0 is 0. Only the post-activation and its mask
-    are kept for the backward; the pre-activation is overwritten in place.
+    The ReLU subgradient at 0 is 0. The pre-activation is overwritten in
+    place by the post-activation, the only array kept for the backward; its
+    mask ``h > 0`` is exactly the set where the pre-activation was > 0, so no
+    boolean array is built in the forward.
     """
     hidden = w1.value.shape[1]
     if (x.value.shape[1] != w1.value.shape[0] or b1.value.shape != (1, hidden)
@@ -139,8 +137,7 @@ def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     h = x.value @ w1.value
     h += b1.value
     _check_finite(h, "mlp2")  # before the ReLU, which would map NaN to 0
-    mask = h > 0.0
-    h[~mask] = 0.0
+    np.maximum(h, 0.0, out=h)
     y = h @ w2.value
     y += b2.value
 
@@ -148,7 +145,7 @@ def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
         _acc(w2, h.T @ g)
         _acc(b2, g.sum(axis=0, keepdims=True))
         gh = g @ w2.value.T
-        gh *= mask
+        gh *= h > 0.0
         _acc(x, gh @ w1.value.T)
         _acc(w1, x.value.T @ gh)
         _acc(b1, gh.sum(axis=0, keepdims=True))

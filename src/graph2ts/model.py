@@ -61,6 +61,11 @@ LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 INIT_TEMPERATURE = 0.07
 
+# generate decodes ~this many rows at a time: a block's decoder input
+# (4096 x (embed_dim + latent_dim) float64) is ~5 MB at the defaults, where
+# one decode of 4000 graphs x 10 makes 41-51 MB temporaries that miss cache
+_GENERATE_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -356,9 +361,10 @@ class Graph2TS:
         return {k: tape.leaf(v) for k, v in self.params.items()}
 
     def ts_embeddings(self, windows: np.ndarray) -> np.ndarray:
+        x = _finite_rows(np.atleast_2d(np.asarray(windows, dtype=np.float64)), "windows")
         tape = Tape(record=False)
         p = self._leaves(tape)
-        return encode_ts(p, tape.leaf(windows)).value
+        return encode_ts(p, tape.leaf(x)).value
 
     def graph_embeddings(self, graphs: np.ndarray) -> np.ndarray:
         tape = Tape(record=False)
@@ -371,6 +377,7 @@ class Graph2TS:
             raise ValueError(
                 f"graphs have width {g.shape[1]}, expected {self.config.graph_dim}"
             )
+        _finite_rows(g, "graphs")
         if self.config.variant == "no_graph":
             g = np.tile(identity_graph(self.config.n_states).reshape(1, -1), (g.shape[0], 1))
         return g
@@ -381,6 +388,14 @@ class Graph2TS:
         The full model draws independent latents per sample; the deterministic
         variant decodes each graph once and repeats the result (its output is
         invariant to the seed by construction).
+
+        The graphs are encoded in one pass, then decoded in blocks of whole
+        graphs of about ``_GENERATE_BLOCK_ROWS`` rows, with each block's
+        latents drawn in turn from one generator (the same stream as one
+        draw). The graphs are split evenly so that no block is a single row:
+        with OpenBLAS, a product over >= 2 rows gave the same bytes as those
+        rows of one full-size product for every layer shape tried, while a
+        one-row product takes gemv and may round differently.
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
@@ -392,9 +407,24 @@ class Graph2TS:
             out = decode(p, g_raw, None, "deterministic").value
             return np.repeat(out, n_per_graph, axis=0)
         rng = np.random.default_rng(seed)
-        rep = Var(np.repeat(g_raw.value, n_per_graph, axis=0), tape)
-        eps = rng.standard_normal((rep.value.shape[0], self.config.latent_dim))
-        return decode(p, rep, Var(eps, tape), self.config.variant).value
+        n_graphs = g.shape[0]
+        rows = n_graphs * n_per_graph
+        # at most one block per graph, and >= 2 rows per block unless rows == 1
+        n_blocks = max(1, min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, rows // 2))
+        blocks = []
+        for part in np.array_split(g_raw.value, n_blocks):
+            rep = Var(np.repeat(part, n_per_graph, axis=0), tape)
+            eps = rng.standard_normal((rep.value.shape[0], self.config.latent_dim))
+            blocks.append(decode(p, rep, Var(eps, tape), self.config.variant).value)
+        return np.concatenate(blocks)
+
+
+def _finite_rows(arr: np.ndarray, name: str) -> np.ndarray:
+    """``arr`` unchanged; ValueError naming the first row holding NaN/Inf."""
+    bad = ~np.isfinite(arr).all(axis=1)
+    if bad.any():
+        raise ValueError(f"{name} row {int(np.argmax(bad))} holds a non-finite value")
+    return arr
 
 
 # ---------------------------------------------------------------------------

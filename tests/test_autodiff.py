@@ -147,6 +147,50 @@ class TestMlp2:
         with pytest.raises(FloatingPointError, match="'mlp2'"):
             ad.mlp2(x, w1, b1, w2, b2)
 
+    def test_relu_edges_bit_exact(self, rng):
+        # hidden units whose pre-activations are exactly +0.0, -0.0, a positive
+        # subnormal, a negative subnormal, negative, and mixed-sign
+        tiny = 5e-324
+        x = rng.uniform(0.05, 0.45, (8, 6))  # x * -tiny underflows to -0.0
+        x[:, 0] = np.linspace(0.05, 0.45, 8)
+        w1 = np.zeros((6, 6))
+        w1[:, 1] = -tiny
+        w1[:, 4] = -np.abs(rng.standard_normal(6))
+        w1[0, 5] = 1.0
+        b1 = np.array([[0.0, -0.0, tiny, -tiny, -0.1, -0.25]])
+        w2 = rng.standard_normal((6, 3))
+        b2 = rng.standard_normal((1, 3))
+        c = rng.standard_normal((8, 3))
+
+        pre = x @ w1
+        pre += b1
+        assert (pre[:, 0] == 0).all() and not np.signbit(pre[:, 0]).any()
+        assert (pre[:, 1] == 0).all() and np.signbit(pre[:, 1]).all()
+        assert (pre[:, 2] == tiny).all() and (pre[:, 3] == -tiny).all()
+        assert (pre[:, 4] < 0).all() and (pre[:, 5] > 0).any() and (pre[:, 5] < 0).any()
+
+        t = Tape()
+        leaves = {k: t.leaf(v) for k, v in
+                  {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2}.items()}
+        y = ad.mlp2(*(leaves[k] for k in ("x", "w1", "b1", "w2", "b2")))
+        t.backward(ad.sum_all(ad.scale(y, c)))  # the gradient reaching y is c
+
+        h = pre.copy()
+        h[~(h > 0)] = 0  # the boolean-mask ReLU
+        plain = h @ w2
+        plain += b2
+        mask = pre > 0
+        gh = c @ w2.T
+        gh *= mask
+        expected = {
+            "x": gh @ w1.T, "w1": x.T @ gh, "b1": gh.sum(axis=0, keepdims=True),
+            "w2": h.T @ c, "b2": c.sum(axis=0, keepdims=True),
+        }
+        assert y.value.tobytes() == plain.tobytes()
+        for k, want in expected.items():
+            assert leaves[k].grad.shape == want.shape, k
+            assert leaves[k].grad.tobytes() == want.tobytes(), k
+
 
 class TestL2Normalize:
     def test_three_four_five(self):

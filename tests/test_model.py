@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import graph2ts.model as model_mod
 from graph2ts.autodiff import Tape, Var
 from graph2ts.dataset import split, synth_generate
 from graph2ts.model import (
@@ -398,6 +399,62 @@ class TestGenerate:
         model, _ = trained
         with pytest.raises(ValueError):
             model.generate(np.ones((2, 9)), seed=0)
+
+    @staticmethod
+    def _one_shot(model, graphs, n_per_graph, seed):
+        # encode, repeat, and one decode over all rows with one eps draw
+        tape = Tape(record=False)
+        p = {k: tape.leaf(v) for k, v in model.params.items()}
+        g_raw = encode_graph(p, tape.leaf(graphs))
+        rep = Var(np.repeat(g_raw.value, n_per_graph, axis=0), tape)
+        eps = np.random.default_rng(seed).standard_normal(
+            (rep.value.shape[0], model.config.latent_dim))
+        return decode(p, rep, Var(eps, tape), model.config.variant).value
+
+    # (graphs, n_per_graph, block rows); 21 x 1 in blocks of 5 would leave a
+    # 1-row tail under a fixed-size split
+    @pytest.mark.parametrize("n_graphs,n_per_graph,block", [
+        (24, 1, 5), (21, 1, 5), (24, 1, 3), (2, 1, 3), (1, 1, 5),
+        (24, 3, 7), (23, 3, 4096), (24, 40, 100), (5, 40, 16),
+    ])
+    def test_blocks_match_one_shot(self, trained, monkeypatch, n_graphs, n_per_graph, block):
+        model, graphs = trained
+        monkeypatch.setattr(model_mod, "_GENERATE_BLOCK_ROWS", block)
+        rows = []
+        decode_fn = model_mod.decode
+
+        def recording_decode(p, g_raw, z, variant):
+            rows.append(g_raw.value.shape[0])
+            return decode_fn(p, g_raw, z, variant)
+
+        monkeypatch.setattr(model_mod, "decode", recording_decode)
+        out = model.generate(graphs[:n_graphs], n_per_graph=n_per_graph, seed=11)
+        want = self._one_shot(model, graphs[:n_graphs], n_per_graph, seed=11)
+        assert np.array_equal(out, want)
+        total = n_graphs * n_per_graph
+        assert sum(rows) == total
+        assert max(rows) <= block + n_per_graph
+        assert total == 1 or min(rows) > 1
+        if total > block:
+            assert len(rows) > 1
+
+    def test_zero_graphs(self, trained):
+        model, graphs = trained
+        out = model.generate(graphs[:0], n_per_graph=3, seed=0)
+        assert out.shape == (0, model.config.window_length)
+
+    def test_nonfinite_input_names_row(self, trained):
+        model, graphs = trained
+        g = graphs[:4].copy()
+        g[2, 5] = np.nan
+        with pytest.raises(ValueError, match="graphs row 2"):
+            model.generate(g, n_per_graph=3, seed=0)
+        with pytest.raises(ValueError, match="graphs row 2"):
+            model.graph_embeddings(g)
+        w = np.zeros((3, model.config.window_length))
+        w[1, 0] = np.inf
+        with pytest.raises(ValueError, match="windows row 1"):
+            model.ts_embeddings(w)
 
 
 class TestConfigValidation:
