@@ -80,9 +80,11 @@ def _gram_chunks(
     err = 4 * (t + 2) * _U * (norm_a + np.sqrt(nb2.max())) ** 2 + t * _TINY
     b_t = (-2.0 * b).T
     chunk = max(1, _CHUNK_BUDGET // b.shape[0])
+    # one buffer per call, so its pages fault in once; g is overwritten on resume
+    buf = np.empty((min(chunk, n), b.shape[0]))
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        g = a[lo:hi] @ b_t
+        g = np.matmul(a[lo:hi], b_t, out=buf[:hi - lo])
         g += nb2
         yield lo, hi, g, err[lo:hi]
 

@@ -9,11 +9,14 @@ both contributions), so an op may hand one array to several inputs.
 
 The model's two-layer blocks are a single op, ``mlp2``
 (``relu(x @ w1 + b1) @ w2 + b2``), which keeps only the post-activation
-for its backward: the ReLU mask is re-derived from it there.
+for its backward: the ReLU mask is re-derived from it there. The objective
+is five more ops: ``info_nce``, ``reparam``, ``gauss_kl``, ``mse_mean`` and
+``weighted_sum``, so a training step records 18 ops (11 if deterministic).
 
 Conventions: all tracked values are 2-D (scalars are (1, 1), vectors are
-(1, n) or (n, 1) as noted per op). Inputs that need no gradient are still
-wrapped as leaves; their ``.grad`` is simply never read.
+(1, n) or (n, 1) as noted per op). Inputs that need no gradient are wrapped
+as leaves whose ``.grad`` is never read, except the plain-array ``eps`` of
+``reparam`` and ``target`` of ``mse_mean``.
 """
 
 from __future__ import annotations
@@ -28,21 +31,14 @@ __all__ = [
     "mlp2",
     "l2_normalize_rows",
     "sort_rows",
-    "matmul_nt",
-    "transpose",
     "concat_cols",
     "slice_cols",
-    "add",
-    "sub",
-    "mul",
-    "add_const",
-    "scale",
-    "exp",
     "clamp",
-    "logsumexp_rows",
-    "take_diag",
-    "sum_all",
-    "mean_all",
+    "info_nce",
+    "reparam",
+    "gauss_kl",
+    "mse_mean",
+    "weighted_sum",
     "grad_check",
 ]
 
@@ -111,7 +107,7 @@ def _out(
 
 def _acc(v: Var, g: np.ndarray) -> None:
     # the first contribution is kept by reference, so later ones must be added
-    # out of place: add/sub hand the same g to both of their inputs
+    # out of place: an op may hand one array to several inputs, or to one twice
     v.grad = g if v.grad is None else v.grad + g
 
 
@@ -153,15 +149,6 @@ def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     return _out(x.tape, y, "mlp2", backward)
 
 
-def matmul_nt(a: Var, b: Var) -> Var:
-    """out = a @ bᵀ; da = g b, db = gᵀ a."""
-    def backward(g):
-        _acc(a, g @ b.value)
-        _acc(b, g.T @ a.value)
-
-    return _out(a.tape, a.value @ b.value.T, "matmul_nt", backward)
-
-
 def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
     """Rows scaled to unit Euclidean norm; dX = (g - y (y·g)) / ‖x‖ per row."""
     norms = np.sqrt((x.value * x.value).sum(axis=1, keepdims=True))
@@ -187,11 +174,6 @@ def sort_rows(x: Var) -> tuple[Var, np.ndarray]:
     return _out(x.tape, x.value[rows, perm], "sort_rows", backward), perm
 
 
-def transpose(x: Var) -> Var:
-    return _out(x.tape, np.ascontiguousarray(x.value.T), "transpose",
-                lambda g: _acc(x, g.T))
-
-
 def concat_cols(a: Var, b: Var) -> Var:
     if a.value.shape[0] != b.value.shape[0]:
         raise ValueError("concat_cols: row mismatch")
@@ -213,100 +195,118 @@ def slice_cols(x: Var, j0: int, j1: int) -> Var:
     return _out(x.tape, x.value[:, j0:j1].copy(), "slice_cols", backward)
 
 
-def add(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape:
-        raise ValueError("add: shape mismatch")
-
-    def backward(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    return _out(a.tape, a.value + b.value, "add", backward)
-
-
-def sub(a: Var, b: Var) -> Var:
-    if a.value.shape != b.value.shape:
-        raise ValueError("sub: shape mismatch")
-
-    def backward(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    return _out(a.tape, a.value - b.value, "sub", backward)
-
-
-def mul(a: Var, b: Var) -> Var:
-    """Elementwise product; shapes must match, or one operand is (1, 1)."""
-    sa, sb = a.value.shape, b.value.shape
-    if sa != sb and sa != (1, 1) and sb != (1, 1):
-        raise ValueError(f"mul: incompatible shapes {sa} x {sb}")
-
-    def backward(g):
-        ga = g * b.value
-        gb = g * a.value
-        if ga.shape != sa:
-            ga = ga.sum().reshape(1, 1)
-        if gb.shape != sb:
-            gb = gb.sum().reshape(1, 1)
-        _acc(a, ga)
-        _acc(b, gb)
-
-    return _out(a.tape, a.value * b.value, "mul", backward)
-
-
-def add_const(x: Var, c) -> Var:
-    return _out(x.tape, x.value + c, "add_const", lambda g: _acc(x, g))
-
-
-def scale(x: Var, c) -> Var:
-    """Multiply by an untracked scalar or same-shape constant array."""
-    return _out(x.tape, x.value * c, "scale", lambda g: _acc(x, g * c))
-
-
-def exp(x: Var) -> Var:
-    with np.errstate(over="ignore"):  # overflow becomes inf, caught by the guard
-        y = np.exp(x.value)
-    return _out(x.tape, y, "exp", lambda g: _acc(x, g * y))
-
-
 def clamp(x: Var, lo: float, hi: float) -> Var:
     """Clip to [lo, hi]; gradient passes where lo <= x <= hi, else 0."""
     mask = (x.value >= lo) & (x.value <= hi)
     return _out(x.tape, np.clip(x.value, lo, hi), "clamp", lambda g: _acc(x, g * mask))
 
 
-def logsumexp_rows(x: Var) -> Var:
-    """Row-wise log-sum-exp as a (B, 1) column; backward is the row softmax."""
-    m = x.value.max(axis=1, keepdims=True)
-    e = np.exp(x.value - m)
-    s = e.sum(axis=1, keepdims=True)
-    return _out(x.tape, m + np.log(s), "logsumexp_rows", lambda g: _acc(x, g * (e / s)))
+# loss ops. Artifacts are compared byte for byte, so float order is part of each
+# op: a forward evaluates its formula left to right, one rounding per elementwise
+# step; a backward differentiates right to left and adds an input's repeated
+# contributions (mu * mu) one by one.
+
+def _check_shapes(op: str, *shapes: tuple) -> None:
+    if len(set(shapes)) > 1:
+        raise ValueError(f"{op} shape mismatch: {' vs '.join(map(str, shapes))}")
 
 
-def take_diag(x: Var) -> Var:
-    """Main diagonal of a square matrix as a (B, 1) column."""
-    n = x.value.shape[0]
-    if x.value.shape[1] != n:
-        raise ValueError("take_diag expects a square matrix")
-    idx = np.arange(n)
+def _lse_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row log-sum-exp as (n, 1), with exp(a - max) and its row sums (softmax)."""
+    m = a.max(axis=1, keepdims=True)
+    e = np.exp(a - m)
+    z = e.sum(axis=1, keepdims=True)
+    return m + np.log(z), e, z
+
+
+def info_nce(th: Var, gh: Var, log_temp: Var) -> Var:
+    """Symmetric InfoNCE over unit rows, matched pairs on the diagonal:
+    0.5 (mean(lse_rows(s) - diag s) + mean(lse_rows(sᵀ) - diag s)) with
+    s = (th @ ghᵀ) exp(-log_temp), sᵀ reduced as a contiguous copy. Backward:
+    ds = (D + c softmax(sᵀ))ᵀ + D + c softmax(s), c = g / 2n, D = diag(-c)."""
+    _check_shapes("info_nce", th.value.shape, gh.value.shape)
+    _check_shapes("info_nce", log_temp.value.shape, (1, 1))
+    n = th.value.shape[0]
+    with np.errstate(over="ignore"):  # overflow becomes inf, caught by the guard
+        temp = np.exp(log_temp.value * -1.0)
+    sim = th.value @ gh.value.T
+    s = sim * temp
+    diag = np.diagonal(s).reshape(n, 1)
+    lse_r, e_r, z_r = _lse_rows(s)
+    lse_c, e_c, z_c = _lse_rows(np.ascontiguousarray(s.T))
+    loss = ((lse_r - diag).mean() + (lse_c - diag).mean()) * 0.5
 
     def backward(g):
-        back = np.zeros_like(x.value)
-        back[idx, idx] = g[:, 0]
-        _acc(x, back)
+        c = g[0, 0] * 0.5 / n
+        d = np.zeros((n, n))
+        np.fill_diagonal(d, -c)
+        ds = (d + c * (e_c / z_c)).T + d + c * (e_r / z_r)
+        gs = ds * temp
+        _acc(log_temp, (ds * sim).sum().reshape(1, 1) * temp * -1.0)
+        _acc(th, gs @ gh.value)
+        _acc(gh, gs.T @ th.value)
 
-    return _out(x.tape, x.value[idx, idx].reshape(n, 1).copy(), "take_diag", backward)
+    return _out(th.tape, loss.reshape(1, 1), "info_nce", backward)
 
 
-def sum_all(x: Var) -> Var:
-    return _out(x.tape, x.value.sum().reshape(1, 1), "sum_all",
-                lambda g: _acc(x, np.full_like(x.value, g[0, 0])))
+def reparam(mu: Var, logvar: Var, eps: np.ndarray) -> Var:
+    """z = mu + exp(logvar * 0.5) * eps, with ``eps`` an untracked draw."""
+    _check_shapes("reparam", mu.value.shape, logvar.value.shape, np.shape(eps))
+    with np.errstate(over="ignore"):
+        sd = np.exp(logvar.value * 0.5)
+
+    def backward(g):
+        _acc(mu, g)
+        _acc(logvar, g * eps * sd * 0.5)
+
+    return _out(mu.tape, mu.value + sd * eps, "reparam", backward)
 
 
-def mean_all(x: Var) -> Var:
-    n = x.value.size
-    return _out(x.tape, x.value.mean().reshape(1, 1), "mean_all",
-                lambda g: _acc(x, np.full_like(x.value, g[0, 0] / n)))
+def gauss_kl(mu: Var, logvar: Var) -> Var:
+    """KL of N(mu, exp(logvar)) from N(0, 1), summed over units and meaned
+    over rows: 0.5 / n * sum(mu² + exp(logvar) - logvar - 1)."""
+    _check_shapes("gauss_kl", mu.value.shape, logvar.value.shape)
+    c = 0.5 / mu.value.shape[0]
+    with np.errstate(over="ignore"):
+        var = np.exp(logvar.value)
+    kl = (mu.value * mu.value + var - logvar.value - 1.0).sum() * c
+
+    def backward(g):
+        gk = g[0, 0] * c
+        _acc(logvar, np.full_like(var, -gk))
+        _acc(logvar, gk * var)
+        gm = gk * mu.value
+        _acc(mu, gm)
+        _acc(mu, gm)
+
+    return _out(mu.tape, kl.reshape(1, 1), "gauss_kl", backward)
+
+
+def mse_mean(a: Var, target: np.ndarray) -> Var:
+    """mean((a - target)²) against an untracked target of the same shape."""
+    _check_shapes("mse_mean", a.value.shape, np.shape(target))
+    d = a.value - target
+
+    def backward(g):
+        gd = d * (g[0, 0] / d.size)
+        _acc(a, gd + gd)
+
+    return _out(a.tape, (d * d).mean().reshape(1, 1), "mse_mean", backward)
+
+
+def weighted_sum(terms: list[Var], weights: list[float]) -> Var:
+    """sum of weights[i] * terms[i] over (1, 1) terms, added left to right."""
+    if not terms or len(weights) != len(terms) or any(t.value.shape != (1, 1) for t in terms):
+        raise ValueError("weighted_sum needs one weight per (1, 1) term")
+    total = terms[0].value * weights[0]
+    for t, w in zip(terms[1:], weights[1:]):
+        total = total + t.value * w
+
+    def backward(g):
+        for t, w in zip(reversed(terms), reversed(weights)):
+            _acc(t, g * w)
+
+    return _out(terms[0].tape, total, "weighted_sum", backward)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,10 @@ def cmd_graph(args) -> int:
 def cmd_train(args) -> int:
     config, extras = resolve_config(args)
     windows = fileio.read_windows(args.windows)
+    if windows.shape[1] != config.window_length:
+        raise ValueError(f"{args.windows} holds windows of length T={windows.shape[1]}, but "
+                         f"{args.config or 'the configuration'} sets "
+                         f"window_length={config.window_length}")
     data = dataset.split(windows, extras["eval_fraction"], config.seed,
                          stride=extras["stride"])
     model, log = train(config, data)
@@ -155,9 +159,8 @@ def cmd_generate(args) -> int:
     model = fileio.load_model(args.checkpoint)
     graphs, q = fileio.read_graphs(args.graphs)
     if q != model.config.n_states:
-        raise ValueError(
-            f"graph file Q={q} does not match checkpoint Q={model.config.n_states}"
-        )
+        raise ValueError(f"{args.graphs} holds graphs with Q={q}, but checkpoint "
+                         f"{args.checkpoint} has Q={model.config.n_states}")
     seed = args.seed if args.seed is not None else config.seed
     synth = model.generate(graphs, n_per_graph=args.n_per_graph, seed=seed)
     fileio.write_windows(args.out, synth)
@@ -169,6 +172,17 @@ def cmd_eval(args) -> int:
     config, _ = resolve_config(args)
     real = fileio.read_windows(args.real)
     synth = fileio.read_windows(args.synth)
+    if real.shape[1] != synth.shape[1]:
+        raise ValueError(f"{args.real} holds windows of length T={real.shape[1]}, but "
+                         f"{args.synth} holds T={synth.shape[1]}")
+    if args.embeddings_dir:  # checked before any output is written
+        if not args.checkpoint:
+            raise ValueError("--embeddings-dir requires --checkpoint")
+        model = fileio.load_model(args.checkpoint)
+        if model.config.window_length != real.shape[1]:
+            raise ValueError(f"{args.real} holds windows of length T={real.shape[1]}, but "
+                             f"checkpoint {args.checkpoint} has "
+                             f"window_length={model.config.window_length}")
     report = metrics.evaluate(real, synth, seed=config.seed)
     fileio.write_metrics_report(args.out, report)
     for key, value in report.as_items():
@@ -177,18 +191,12 @@ def cmd_eval(args) -> int:
         cdir = Path(args.curves_dir)
         cdir.mkdir(parents=True, exist_ok=True)
         lag = real.shape[1] // 2
-        fileio.write_curve(cdir / "acf_real.csv", "acf_real",
-                           metrics.acf_mean_curve(real, lag))
-        fileio.write_curve(cdir / "acf_synth.csv", "acf_synth",
-                           metrics.acf_mean_curve(synth, lag))
-        fileio.write_curve(cdir / "psd_real.csv", "psd_real",
-                           metrics.psd_mean_curve(real))
-        fileio.write_curve(cdir / "psd_synth.csv", "psd_synth",
-                           metrics.psd_mean_curve(synth))
+        for kind, curve in (("acf", lambda w: metrics.acf_mean_curve(w, lag)),
+                            ("psd", metrics.psd_mean_curve)):
+            for side, w in (("real", real), ("synth", synth)):
+                name = f"{kind}_{side}"
+                fileio.write_curve(cdir / f"{name}.csv", name, curve(w))
     if args.embeddings_dir:
-        if not args.checkpoint:
-            raise ValueError("--embeddings-dir requires --checkpoint")
-        model = fileio.load_model(args.checkpoint)
         edir = Path(args.embeddings_dir)
         edir.mkdir(parents=True, exist_ok=True)
         fileio.write_embeddings(edir / "real_embeddings.txt", model.ts_embeddings(real))

@@ -231,7 +231,7 @@ def save_model(path, model: Graph2TS) -> None:
 
 
 def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig) -> None:
-    """Parameter names and shapes must be those ``init_params`` makes for ``config``."""
+    """Names and shapes as ``init_params`` makes them for ``config``; values finite."""
     expected = init_params(config, np.random.default_rng(0))
     missing = sorted(expected.keys() - params.keys())
     if missing:
@@ -245,11 +245,13 @@ def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig
                 f"{path}: parameter '{name}' has shape {params[name].shape}, "
                 f"expected {expected[name].shape}"
             )
+        if not np.isfinite(params[name]).all():
+            raise ValueError(f"{path}: parameter '{name}' holds a non-finite value")
 
 
 def load_model(path) -> Graph2TS:
-    """Inverse of save_model; truncation, trailing bytes or parameters that do not
-    match the config raise ValueError."""
+    """Inverse of save_model; truncation, trailing bytes, or parameters that do
+    not match the config or hold NaN/Inf raise ValueError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if not buf.startswith(CKPT_MAGIC):

@@ -90,8 +90,8 @@ class TrainConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
         for name in ("w_align", "w_recon", "w_dist", "beta_max", "lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.kl_warmup_epochs < 0:
             raise ValueError("kl_warmup_epochs must be non-negative")
         if self.variant not in VARIANTS:
@@ -171,7 +171,7 @@ def posterior(p: dict[str, Var], t_raw: Var, g_raw: Var, latent_dim: int) -> tup
 
 def reparameterize(mu: Var, logvar: Var, eps: np.ndarray) -> Var:
     """z = mu + exp(logvar / 2) * eps with eps an untracked standard-normal draw."""
-    return ad.add(mu, ad.scale(ad.exp(ad.scale(logvar, 0.5)), eps))
+    return ad.reparam(mu, logvar, eps)
 
 
 def decode(p: dict[str, Var], g_raw: Var, z: Var | None, variant: str) -> Var:
@@ -194,25 +194,15 @@ def decode(p: dict[str, Var], g_raw: Var, z: Var | None, variant: str) -> Var:
 # ---------------------------------------------------------------------------
 
 def loss_align(t_raw: Var, g_raw: Var, log_temp: Var) -> Var:
-    """Symmetric contrastive alignment of normalized embeddings.
-
-    Similarities are scaled by a learnable temperature; matched pairs sit on
-    the diagonal and in-batch non-partners act as negatives, in both the
-    window->graph and graph->window directions.
-    """
-    th = ad.l2_normalize_rows(t_raw)
-    gh = ad.l2_normalize_rows(g_raw)
-    s = ad.mul(ad.matmul_nt(th, gh), ad.exp(ad.scale(log_temp, -1.0)))
-    ce_rows = ad.mean_all(ad.sub(ad.logsumexp_rows(s), ad.take_diag(s)))
-    st = ad.transpose(s)
-    ce_cols = ad.mean_all(ad.sub(ad.logsumexp_rows(st), ad.take_diag(st)))
-    return ad.scale(ad.add(ce_rows, ce_cols), 0.5)
+    """Symmetric contrastive alignment (``info_nce``) of the normalized embeddings
+    at a learnable temperature: in-batch non-partners are the negatives, in both
+    the window->graph and graph->window directions."""
+    return ad.info_nce(ad.l2_normalize_rows(t_raw), ad.l2_normalize_rows(g_raw), log_temp)
 
 
 def loss_recon(x_hat: Var, x: np.ndarray) -> Var:
     """Mean squared error, averaged over batch and time so weights stay scale-free."""
-    d = ad.add_const(x_hat, -x)
-    return ad.mean_all(ad.mul(d, d))
+    return ad.mse_mean(x_hat, x)
 
 
 def loss_dist(x_hat: Var, x: np.ndarray) -> Var:
@@ -222,17 +212,12 @@ def loss_dist(x_hat: Var, x: np.ndarray) -> Var:
     back through it to the positions the sorted values came from.
     """
     sorted_hat, _ = ad.sort_rows(x_hat)
-    d = ad.add_const(sorted_hat, -np.sort(x, axis=1))
-    return ad.mean_all(ad.mul(d, d))
+    return ad.mse_mean(sorted_hat, np.sort(x, axis=1))
 
 
 def loss_kl(mu: Var, logvar: Var) -> Var:
     """KL from the diagonal posterior to the standard normal, meaned over the batch."""
-    inner = ad.add_const(
-        ad.add(ad.add(ad.mul(mu, mu), ad.exp(logvar)), ad.scale(logvar, -1.0)),
-        -1.0,
-    )
-    return ad.scale(ad.sum_all(inner), 0.5 / mu.value.shape[0])
+    return ad.gauss_kl(mu, logvar)
 
 
 def beta_schedule(epoch: int, warmup: int, beta_max: float) -> float:
@@ -271,12 +256,9 @@ def batch_objective(
     recon = loss_recon(x_hat, x)
     dist = loss_dist(x_hat, x)
 
-    total = ad.add(
-        ad.add(ad.scale(align, config.w_align), ad.scale(recon, config.w_recon)),
-        ad.scale(dist, config.w_dist),
-    )
-    if kl is not None:
-        total = ad.add(total, ad.scale(kl, beta))
+    terms = [align, recon, dist] + ([] if kl is None else [kl])
+    weights = [config.w_align, config.w_recon, config.w_dist, beta][:len(terms)]
+    total = ad.weighted_sum(terms, weights)
     parts = LossBreakdown(
         align=float(align.value[0, 0]),
         recon=float(recon.value[0, 0]),
@@ -442,13 +424,15 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
     Per epoch the train windows are reshuffled, minibatches are stepped with
     Adam, and the sample-weighted epoch mean of the objective (with that
     epoch's annealed beta) is logged. The returned parameters are the end-of-
-    epoch snapshot from the epoch with the lowest logged mean total.
+    epoch snapshot from the epoch with the lowest logged mean total; a
+    snapshot holding NaN/Inf raises RuntimeError.
     """
     x_train = np.asarray(data.train, dtype=np.float64)
     if x_train.size == 0:
         raise ValueError("empty training split")
     if x_train.shape[1] != config.window_length:
-        raise ValueError("window length differs from config")
+        raise ValueError(f"windows have length {x_train.shape[1]}, config "
+                         f"window_length is {config.window_length}")
 
     bounds = fit_boundaries(x_train.ravel(), config.n_states)
     if config.variant == "no_graph":
@@ -504,6 +488,9 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
             best_total = entry.total
             best_params = store.copy_params()
             best_epoch = epoch
+            bad = [k for k, v in best_params.items() if not np.isfinite(v).all()]
+            if bad:  # the epoch's last update comes after its loss was measured
+                raise RuntimeError(f"parameter '{bad[0]}' is non-finite after epoch {epoch}")
 
     model = Graph2TS(config=config, params=best_params, boundaries=bounds,
                      best_epoch=best_epoch)

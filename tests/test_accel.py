@@ -45,6 +45,33 @@ def test_chunked_paths_agree(sets, monkeypatch):
     assert acc.medoid_index(a) == whole[2]
 
 
+def test_uneven_chunks_agree_with_brute_force(sets, monkeypatch):
+    # chunks of 7 rows leave a 1-row last chunk of 120 (and 6 of 90)
+    a, b = sets
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * b.shape[0])
+    assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)))
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * a.shape[0])
+    d2 = brute_d2(a, a)
+    medoid = int(np.argmin(np.sqrt(d2).sum(axis=1)))
+    np.fill_diagonal(d2, np.inf)
+    assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)))
+    assert acc.medoid_index(a) == medoid
+
+
+def test_gram_chunks_fill_one_buffer(sets, monkeypatch):
+    a, b = sets
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * b.shape[0])
+    nb2 = (b * b).sum(axis=1)
+    bases = []
+    for lo, hi, g, _ in acc._gram_chunks(a, b):
+        want = a[lo:hi] @ (-2.0 * b).T
+        want += nb2
+        assert np.array_equal(g, want)
+        bases.append(g.base)
+    assert hi == a.shape[0] and len(bases) == 18
+    assert bases[0] is not None and all(base is bases[0] for base in bases)
+
+
 def test_medoid_tie_takes_lowest_index(sets):
     a = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
     assert acc.medoid_index(a) == 0

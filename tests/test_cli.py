@@ -113,7 +113,7 @@ class TestPipelineCommands:
         assert run("stats", "--windows", synth, "--out", stats) == 0
         assert stats.read_text().startswith("# graph2ts-tailstats v1\n")
 
-    def test_generate_q_mismatch(self, tmp_path):
+    def test_generate_q_mismatch(self, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
         fileio.write_windows(wfile, synth_generate("sine_mix", 40, 32, 5))
         rundir = tmp_path / "run"
@@ -121,9 +121,14 @@ class TestPipelineCommands:
             "--batch-size", "16", "--embed-dim", "8", "--latent-dim", "2")
         gfile = tmp_path / "g5.txt"
         run("graph", "--windows", wfile, "--out", gfile, "--n-states", "5")
+        capsys.readouterr()
         rc = run("generate", "--checkpoint", rundir / "checkpoint.g2ts",
                  "--graphs", gfile, "--out", tmp_path / "s.txt")
         assert rc == 2  # reported as an error, not a traceback
+        err = capsys.readouterr().err
+        assert f"{gfile} holds graphs with Q=5" in err
+        assert f"checkpoint {rundir / 'checkpoint.g2ts'} has Q=10" in err
+        assert not (tmp_path / "s.txt").exists()
 
     def test_generate_truncated_checkpoint(self, tmp_path, capsys):
         wfile = tmp_path / "w.txt"
@@ -175,6 +180,85 @@ class TestPipelineCommands:
         labels = [ln.split(",")[0] for ln in lines[2:]]
         assert labels == ["full", "no_graph", "deterministic",
                           "w_recon=0", "w_align=0", "w_dist=0", "beta_max=0"]
+
+
+def _train_small(tmp_path, *flags):
+    wfile = tmp_path / "w.txt"
+    fileio.write_windows(wfile, synth_generate("sine_mix", 40, 32, 5))
+    rundir = tmp_path / "run"
+    rc = run("train", "--windows", wfile, "--outdir", rundir, "--epochs", "1",
+             "--batch-size", "16", "--embed-dim", "8", "--latent-dim", "2", *flags)
+    return rc, rundir
+
+
+class TestRejectedInputs:
+    """Each bad input exits 2 with one error line that names the files and
+    sizes involved, and leaves no output behind."""
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--lr", "nan"), ("--lr", "inf"), ("--beta-max", "nan"), ("--w-recon", "-inf"),
+    ])
+    def test_train_nonfinite_config_value(self, tmp_path, capsys, flag, value):
+        rc, rundir = _train_small(tmp_path, f"{flag}={value}")
+        assert rc == 2
+        name = flag[2:].replace("-", "_")
+        assert f"error: {name} must be finite and non-negative" in capsys.readouterr().err
+        assert not (rundir / "checkpoint.g2ts").exists()
+
+    def test_generate_nonfinite_checkpoint(self, tmp_path, capsys):
+        _, rundir = _train_small(tmp_path)
+        ckpt = rundir / "checkpoint.g2ts"
+        model = fileio.load_model(ckpt)
+        model.params["dec.w2"][3, 1] = np.nan
+        fileio.save_model(ckpt, model)
+        capsys.readouterr()
+        out = tmp_path / "s.txt"
+        rc = run("generate", "--checkpoint", ckpt,
+                 "--graphs", rundir / "eval_graphs.txt", "--out", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {ckpt}: parameter 'dec.w2' holds a non-finite value\n"
+        assert not out.exists()
+
+    def test_eval_window_length_mismatch(self, tmp_path, capsys):
+        real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
+        fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))
+        fileio.write_windows(synth, synth_generate("sine_mix", 20, 16, 2))
+        out = tmp_path / "metrics.txt"
+        assert run("eval", "--real", real, "--synth", synth, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"error: {real} holds windows of length T=32, but {synth} holds T=16" in err
+        assert not out.exists()
+
+    def test_eval_embeddings_checkpoint_mismatch(self, tmp_path, capsys):
+        _, rundir = _train_small(tmp_path)
+        ckpt = rundir / "checkpoint.g2ts"
+        real = tmp_path / "real16.txt"
+        fileio.write_windows(real, synth_generate("sine_mix", 20, 16, 1))
+        out = tmp_path / "metrics.txt"
+        capsys.readouterr()
+        rc = run("eval", "--real", real, "--synth", real, "--out", out,
+                 "--embeddings-dir", tmp_path / "emb", "--checkpoint", ckpt)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{real} holds windows of length T=16" in err
+        assert f"checkpoint {ckpt} has window_length=32" in err
+        assert not out.exists() and not (tmp_path / "emb").exists()
+
+    @pytest.mark.parametrize("with_file", [False, True])
+    def test_train_window_length_mismatch(self, tmp_path, capsys, with_file):
+        wfile = tmp_path / "w16.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 40, 16, 5))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("window_length = 32\n")
+        rundir = tmp_path / "run"
+        extra = ("--config", cfg) if with_file else ()
+        assert run("train", "--windows", wfile, "--outdir", rundir, *extra) == 2
+        err = capsys.readouterr().err
+        assert f"error: {wfile} holds windows of length T=16, but " in err
+        assert "sets window_length=32" in err
+        assert (str(cfg) in err) == with_file
+        assert not rundir.exists()
 
 
 class TestChecks:

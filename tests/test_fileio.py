@@ -164,6 +164,17 @@ def test_checkpoint_schema_checked(tmp_path, edit, message):
     assert str(path) in str(info.value)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_checkpoint_nonfinite_parameter_rejected(tmp_path, bad):
+    path, blob = _small_checkpoint(tmp_path)
+    model = fileio.load_model(path)
+    model.params["g_enc.w2"][0, 0] = bad
+    fileio.save_model(path, model)  # the writer does not judge the values
+    with pytest.raises(ValueError, match="parameter 'g_enc.w2' holds a non-finite") as info:
+        fileio.load_model(path)
+    assert str(path) in str(info.value)
+
+
 @pytest.mark.parametrize("row, problem", [
     ("1.0,nan", "non-finite"),
     ("inf,1.0", "non-finite"),

@@ -283,6 +283,18 @@ class TestObjective:
             plain = objective_value(params, x, g, eps, cfg, beta=0.02)
             assert float(total.value[0, 0]) == pytest.approx(plain, abs=1e-12)
 
+    @pytest.mark.parametrize("variant, n_ops", [
+        ("full", 18), ("no_graph", 18), ("deterministic", 11),
+    ])
+    def test_records_per_step(self, variant, n_ops):
+        # 4 mlp2 (3 deterministic), 2 l2_normalize_rows (3), concat_cols x2,
+        # slice_cols x2, clamp, sort_rows and the 6 loss ops (4)
+        cfg = dataclasses.replace(SMALL, variant=variant)
+        params, x, g, eps = self._setup(cfg)
+        tape, p = _leaves(params, record=True)
+        batch_objective(p, x, g, eps, cfg, beta=0.02)
+        assert len(tape._ops) == n_ops
+
     def test_deterministic_has_no_kl(self):
         cfg = dataclasses.replace(SMALL, variant="deterministic")
         params, x, g, eps = self._setup(cfg)
@@ -347,7 +359,16 @@ class TestTraining:
 
     def test_window_length_mismatch(self, tiny_data):
         cfg = dataclasses.replace(SMALL, window_length=16)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 32, config window_length is 16"):
+            train(cfg, tiny_data)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nonfinite_snapshot_not_returned(self, tiny_data):
+        # one Adam step of lr=1e308 overflows parameters after the epoch's
+        # loss was measured, so that epoch still looks like the best one
+        cfg = dataclasses.replace(SMALL, epochs=1, batch_size=128, lr=1e308)
+        with pytest.raises(RuntimeError, match="non-finite after epoch 0"):
             train(cfg, tiny_data)
 
 
@@ -465,6 +486,13 @@ class TestConfigValidation:
     def test_negative_weight(self):
         with pytest.raises(ValueError):
             TrainConfig(w_recon=-1.0)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["w_align", "w_recon", "w_dist", "beta_max", "lr"])
+    def test_nonfinite_float_rejected(self, name, value):
+        # NaN passes a bare `< 0` check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            TrainConfig(**{name: value})
 
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
