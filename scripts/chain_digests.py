@@ -4,8 +4,11 @@ The chain runs through ``graph2ts.cli.main`` in a temporary directory, once per
 corpus (a sine_mix and a heavy_tail series made from fixed seeds):
 
     ingest -> graph -> train (full, deterministic, no_graph)
-           -> generate -> stats -> eval (with curves and embeddings)
+           -> generate (--n-per-graph 1, 7 and 40) -> stats -> eval
+              (with curves and embeddings, on the 7-per-graph windows)
 
+The 900 eval graphs decode in 1, 2 and 9 blocks at the three ``--n-per-graph``
+values, so the digests cover one block, a few blocks and many blocks. This is
 followed by ``gradcheck`` for each variant at small widths and for ``full`` at
 the default widths (the last takes about a minute). Each artifact gives one
 ``sha256  path`` line, with the path relative to the run directory. Two
@@ -36,6 +39,7 @@ N_WINDOWS = 3000
 WINDOW = 32
 TRAIN = ("--epochs", "4", "--batch-size", "256", "--eval-fraction", "0.3", "--seed", "7")
 SMALL = ("--embed-dim", "6", "--latent-dim", "2")
+PER_GRAPH = (1, 7, 40)
 
 
 def _run(*argv) -> None:
@@ -58,10 +62,11 @@ def _chain(root: Path, kind: str, seed: int) -> None:
         _run("train", "--windows", root / "windows.txt", "--outdir", run,
              "--variant", variant, *TRAIN)
         ckpt = run / "checkpoint.g2ts"
-        _run("generate", "--checkpoint", ckpt, "--graphs", run / "eval_graphs.txt",
-             "--out", run / "synth.txt", "--n-per-graph", "7", "--seed", "7")
-        _run("stats", "--windows", run / "synth.txt", "--out", run / "tails.txt")
-        _run("eval", "--real", run / "eval_windows.txt", "--synth", run / "synth.txt",
+        for k in PER_GRAPH:
+            _run("generate", "--checkpoint", ckpt, "--graphs", run / "eval_graphs.txt",
+                 "--out", run / f"synth_n{k}.txt", "--n-per-graph", k, "--seed", "7")
+        _run("stats", "--windows", run / "synth_n7.txt", "--out", run / "tails.txt")
+        _run("eval", "--real", run / "eval_windows.txt", "--synth", run / "synth_n7.txt",
              "--out", run / "metrics.txt", "--curves-dir", run / "curves",
              "--embeddings-dir", run / "embeddings", "--checkpoint", ckpt)
 

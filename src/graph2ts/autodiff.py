@@ -115,13 +115,21 @@ def _acc(v: Var, g: np.ndarray) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+def mlp2(
+    x: Var, w1: Var, b1: Var, w2: Var, b2: Var,
+    *, hid: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> Var:
     """Two-layer block relu(x @ w1 + b1) @ w2 + b2; b1, b2 are (1, m) rows.
 
     The ReLU subgradient at 0 is 0. The pre-activation is overwritten in
     place by the post-activation, the only array kept for the backward; its
     mask ``h > 0`` is exactly the set where the pre-activation was > 0, so no
     boolean array is built in the forward.
+
+    ``hid`` (rows, hidden) and ``out`` (rows, n_out), when given, receive the
+    post-activation and the result in place of fresh arrays, with the same
+    bytes; the returned value is ``out``. They are refused on a recording
+    tape, whose backward keeps the post-activation.
     """
     hidden = w1.value.shape[1]
     if (x.value.shape[1] != w1.value.shape[0] or b1.value.shape != (1, hidden)
@@ -130,11 +138,13 @@ def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
             f"mlp2 shape mismatch: x{x.value.shape} w1{w1.value.shape} "
             f"b1{b1.value.shape} w2{w2.value.shape} b2{b2.value.shape}"
         )
-    h = x.value @ w1.value
+    if x.tape.recording and (hid is not None or out is not None):
+        raise ValueError("mlp2: hid/out destinations need a non-recording tape")
+    h = np.matmul(x.value, w1.value, out=hid)
     h += b1.value
     _check_finite(h, "mlp2")  # before the ReLU, which would map NaN to 0
     np.maximum(h, 0.0, out=h)
-    y = h @ w2.value
+    y = np.matmul(h, w2.value, out=out)
     y += b2.value
 
     def backward(g):

@@ -24,6 +24,7 @@ from .model import (
     TrainConfig,
     batch_objective,
     beta_schedule,
+    conditioning_graphs,
     init_params,
     objective_value,
     train,
@@ -257,7 +258,7 @@ def cmd_gradcheck(args) -> int:
                                  config.seed)
     x, _ = dataset.zscore_fit_apply(raw)
     bounds = fit_boundaries(x.ravel(), config.n_states)
-    graphs = windows_to_graphs(x, bounds)
+    graphs = conditioning_graphs(config, windows_to_graphs(x, bounds))
     params = init_params(config, rng)
     # jitter off the symmetric init (zero biases breed exact sort ties);
     # gradients should be checked at a generic point in parameter space

@@ -45,6 +45,7 @@ __all__ = [
     "posterior",
     "reparameterize",
     "decode",
+    "conditioning_graphs",
     "loss_align",
     "loss_recon",
     "loss_dist",
@@ -147,8 +148,8 @@ def init_params(config: TrainConfig, rng: np.random.Generator) -> dict[str, np.n
     return params
 
 
-def _mlp2(p: dict[str, Var], prefix: str, x: Var) -> Var:
-    return ad.mlp2(x, *(p[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")))
+def _mlp2(p: dict[str, Var], prefix: str, x: Var, **dest: np.ndarray | None) -> Var:
+    return ad.mlp2(x, *(p[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")), **dest)
 
 
 def encode_ts(p: dict[str, Var], x: Var) -> Var:
@@ -174,19 +175,34 @@ def reparameterize(mu: Var, logvar: Var, eps: np.ndarray) -> Var:
     return ad.reparam(mu, logvar, eps)
 
 
-def decode(p: dict[str, Var], g_raw: Var, z: Var | None, variant: str) -> Var:
-    """Windows from conditioning embedding (+ latent); linear output layer.
-
-    The deterministic variant decodes the normalized graph embedding alone,
-    so its output cannot depend on any latent draw.
-    """
+def _decoder_input(g_raw: Var, z: Var | None, variant: str) -> Var:
+    """The decoder's input: the raw graph embedding beside the latent, or
+    for the deterministic variant the normalized graph embedding alone, so
+    that its output cannot depend on any latent draw."""
     if variant == "deterministic":
-        inp = ad.l2_normalize_rows(g_raw)
-    else:
-        if z is None:
-            raise ValueError("variant requires a latent sample")
-        inp = ad.concat_cols(g_raw, z)
-    return _mlp2(p, "dec", inp)
+        return ad.l2_normalize_rows(g_raw)
+    if z is None:
+        raise ValueError("variant requires a latent sample")
+    return ad.concat_cols(g_raw, z)
+
+
+def decode(
+    p: dict[str, Var], inp: Var,
+    *, hid: np.ndarray | None = None, out: np.ndarray | None = None,
+) -> Var:
+    """Windows from an assembled decoder input; linear output layer.
+
+    ``hid`` and ``out`` are the optional destinations of :func:`ad.mlp2`.
+    """
+    return _mlp2(p, "dec", inp, hid=hid, out=out)
+
+
+def conditioning_graphs(config: TrainConfig, graphs: np.ndarray) -> np.ndarray:
+    """The rows the graph encoder sees: ``graphs`` itself, or for ``no_graph``
+    as many rows of the flattened identity graph."""
+    if config.variant != "no_graph":
+        return graphs
+    return np.tile(identity_graph(config.n_states).reshape(1, -1), (graphs.shape[0], 1))
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +262,12 @@ def batch_objective(
     g_raw = encode_graph(p, _leaf_of(p, graphs))
     align = loss_align(t_raw, g_raw, p["log_temp"])
     if config.variant == "deterministic":
-        x_hat = decode(p, g_raw, None, config.variant)
+        x_hat = decode(p, _decoder_input(g_raw, None, config.variant))
         kl = None
     else:
         mu, logvar = posterior(p, t_raw, g_raw, config.latent_dim)
         z = reparameterize(mu, logvar, eps)
-        x_hat = decode(p, g_raw, z, config.variant)
+        x_hat = decode(p, _decoder_input(g_raw, z, config.variant))
         kl = loss_kl(mu, logvar)
     recon = loss_recon(x_hat, x)
     dist = loss_dist(x_hat, x)
@@ -359,10 +375,7 @@ class Graph2TS:
             raise ValueError(
                 f"graphs have width {g.shape[1]}, expected {self.config.graph_dim}"
             )
-        _finite_rows(g, "graphs")
-        if self.config.variant == "no_graph":
-            g = np.tile(identity_graph(self.config.n_states).reshape(1, -1), (g.shape[0], 1))
-        return g
+        return conditioning_graphs(self.config, _finite_rows(g, "graphs"))
 
     def generate(self, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0) -> np.ndarray:
         """Sample n_per_graph windows per conditioning graph.
@@ -378,6 +391,12 @@ class Graph2TS:
         with OpenBLAS, a product over >= 2 rows gave the same bytes as those
         rows of one full-size product for every layer shape tried, while a
         one-row product takes gemv and may round differently.
+
+        A call allocates three arrays and reuses them for every block: the
+        decoder input, whose left columns take each graph's embedding by
+        broadcast and whose right columns take the latents; a scratch that
+        takes the latent draw and then the hidden layer; and the result, into
+        whose rows each block's decode writes directly.
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
@@ -386,19 +405,33 @@ class Graph2TS:
         p = self._leaves(tape)
         g_raw = encode_graph(p, tape.leaf(g))
         if self.config.variant == "deterministic":
-            out = decode(p, g_raw, None, "deterministic").value
+            out = decode(p, _decoder_input(g_raw, None, "deterministic")).value
             return np.repeat(out, n_per_graph, axis=0)
         rng = np.random.default_rng(seed)
-        n_graphs = g.shape[0]
+        n_graphs, embed = g_raw.value.shape
+        latent = self.config.latent_dim
+        hidden = self.params["dec.w1"].shape[1]
         rows = n_graphs * n_per_graph
         # at most one block per graph, and >= 2 rows per block unless rows == 1
         n_blocks = max(1, min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, rows // 2))
-        blocks = []
-        for part in np.array_split(g_raw.value, n_blocks):
-            rep = Var(np.repeat(part, n_per_graph, axis=0), tape)
-            eps = rng.standard_normal((rep.value.shape[0], self.config.latent_dim))
-            blocks.append(decode(p, rep, Var(eps, tape), self.config.variant).value)
-        return np.concatenate(blocks)
+        parts = np.array_split(g_raw.value, n_blocks)
+        most = parts[0].shape[0]  # array_split puts the larger parts first
+        inp = np.empty((most, n_per_graph, embed + latent))
+        scratch = np.empty(most * n_per_graph * max(latent, hidden))
+        result = np.empty((rows, self.config.window_length))
+        lo = 0
+        for part in parts:
+            nb = part.shape[0]
+            n = nb * n_per_graph
+            x = inp[:nb].reshape(n, embed + latent)
+            inp[:nb, :, :embed] = part[:, None, :]
+            eps = scratch[: n * latent].reshape(n, latent)
+            rng.standard_normal(out=eps)
+            x[:, embed:] = eps
+            decode(p, Var(x, tape), hid=scratch[: n * hidden].reshape(n, hidden),
+                   out=result[lo : lo + n])
+            lo += n
+        return result
 
 
 def _finite_rows(arr: np.ndarray, name: str) -> np.ndarray:
@@ -435,12 +468,7 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
                          f"window_length is {config.window_length}")
 
     bounds = fit_boundaries(x_train.ravel(), config.n_states)
-    if config.variant == "no_graph":
-        graphs = np.tile(
-            identity_graph(config.n_states).reshape(1, -1), (x_train.shape[0], 1)
-        )
-    else:
-        graphs = windows_to_graphs(x_train, bounds)
+    graphs = conditioning_graphs(config, windows_to_graphs(x_train, bounds))
 
     rng = np.random.default_rng(config.seed)
     store = ParamStore(init_params(config, rng))
@@ -465,12 +493,7 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
             try:
                 total, parts = batch_objective(leaves, x, g, eps, config, beta)
                 tape.backward(total)
-                grads = {
-                    k: (leaves[k].grad if leaves[k].grad is not None
-                        else np.zeros_like(leaves[k].value))
-                    for k in store.params
-                }
-                adam_step(store, grads, config.lr)
+                adam_step(store, {k: leaves[k].grad for k in store.params}, config.lr)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: {err}"

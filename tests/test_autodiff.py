@@ -159,6 +159,29 @@ class TestMlp2:
         plain = np.maximum(x @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
         assert np.array_equal(y.value, plain)
 
+    def test_destinations_same_bytes_in_place(self, rng):
+        p = _mlp2_params(rng, 5, 7, 3)
+        x = rng.standard_normal((6, 5))
+        t = Tape(record=False)
+        ws = [t.leaf(p[k]) for k in ("w1", "b1", "w2", "b2")]
+        fresh = ad.mlp2(t.leaf(x), *ws).value
+        hid = np.full((6, 7), np.nan)
+        out = np.full((8, 3), np.nan)  # rows 2..7 of a larger result
+        y = ad.mlp2(t.leaf(x), *ws, hid=hid, out=out[2:])
+        assert np.shares_memory(y.value, out)
+        assert np.array_equal(out[2:], fresh)
+        assert np.isnan(out[:2]).all()
+        assert np.array_equal(hid, np.maximum(x @ p["w1"] + p["b1"], 0.0))
+
+    @pytest.mark.parametrize("dest", ["hid", "out"])
+    def test_destinations_refused_on_recording_tape(self, rng, dest):
+        p = _mlp2_params(rng, 2, 3, 2)
+        t = Tape()
+        ws = [t.leaf(p[k]) for k in ("w1", "b1", "w2", "b2")]
+        buf = np.empty((4, 3 if dest == "hid" else 2))
+        with pytest.raises(ValueError, match="non-recording tape"):
+            ad.mlp2(t.leaf(np.ones((4, 2))), *ws, **{dest: buf})
+
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_pre_activation_raises(self):
         # inf - inf = NaN before the ReLU, which would silently map it to 0

@@ -3,10 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from graph2ts import fileio
+from graph2ts import cli, fileio
 from graph2ts.cli import build_parser, load_config_file, main, resolve_config
 from graph2ts.dataset import synth_generate
 from graph2ts.model import TrainConfig
+from graph2ts.quantile_graph import identity_graph
 
 
 @pytest.fixture
@@ -277,3 +278,19 @@ class TestChecks:
         assert text.startswith("# graph2ts-gradcheck v1\n")
         assert "status=PASS" in text
         assert "PASS" in capsys.readouterr().out
+
+    def test_gradcheck_no_graph_conditions_on_identity(self, monkeypatch):
+        seen = []
+        for name in ("batch_objective", "objective_value"):
+            fn = getattr(cli, name)
+
+            def recording(params, x, graphs, *rest, fn=fn):
+                seen.append(graphs)
+                return fn(params, x, graphs, *rest)
+
+            monkeypatch.setattr(cli, name, recording)
+        rc = run("gradcheck", "--variant", "no_graph", "--embed-dim", "3",
+                 "--latent-dim", "1", "--batch", "3", "--seed", "2")
+        assert rc == 0
+        ident = identity_graph(TrainConfig().n_states).reshape(1, -1)
+        assert seen and all(np.array_equal(g, np.tile(ident, (3, 1))) for g in seen)

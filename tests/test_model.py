@@ -8,6 +8,7 @@ from graph2ts.autodiff import Tape, Var
 from graph2ts.dataset import split, synth_generate
 from graph2ts.model import (
     TrainConfig,
+    _decoder_input,
     batch_objective,
     beta_schedule,
     decode,
@@ -110,8 +111,8 @@ class TestDecode:
         g_raw = encode_graph(p, tape.leaf(rng.random((2, 100))))
         z1 = Var(rng.standard_normal((2, 4)), tape)
         z2 = Var(rng.standard_normal((2, 4)), tape)
-        a = decode(p, g_raw, z1, "full").value
-        b = decode(p, g_raw, z2, "full").value
+        a = decode(p, _decoder_input(g_raw, z1, "full")).value
+        b = decode(p, _decoder_input(g_raw, z2, "full")).value
         assert a.shape == (2, 32)
         assert not np.array_equal(a, b)
 
@@ -120,15 +121,15 @@ class TestDecode:
         params = init_params(cfg, np.random.default_rng(1))
         tape, p = _leaves(params)
         g_raw = encode_graph(p, tape.leaf(rng.random((3, 100))))
-        a = decode(p, g_raw, None, "deterministic").value
-        b = decode(p, g_raw, None, "deterministic").value
+        a = decode(p, _decoder_input(g_raw, None, "deterministic")).value
+        b = decode(p, _decoder_input(g_raw, None, "deterministic")).value
         assert np.array_equal(a, b)
 
     def test_full_requires_z(self, small_params, rng):
         tape, p = _leaves(small_params)
         g_raw = encode_graph(p, tape.leaf(rng.random((2, 100))))
         with pytest.raises(ValueError):
-            decode(p, g_raw, None, "full")
+            _decoder_input(g_raw, None, "full")
 
 
 class TestLossAlign:
@@ -388,7 +389,7 @@ class TestNoGraphVariant:
         g_raw = encode_graph(p, tape.leaf(np.tile(
             identity_graph(cfg.n_states).reshape(1, -1), (4, 1))))
         z = np.random.default_rng(0).standard_normal((1, cfg.latent_dim))
-        out = decode(p, g_raw, Var(np.tile(z, (4, 1)), tape), "no_graph").value
+        out = decode(p, _decoder_input(g_raw, Var(np.tile(z, (4, 1)), tape), "no_graph")).value
         assert np.array_equal(out[0], out[2])
 
 
@@ -430,7 +431,7 @@ class TestGenerate:
         rep = Var(np.repeat(g_raw.value, n_per_graph, axis=0), tape)
         eps = np.random.default_rng(seed).standard_normal(
             (rep.value.shape[0], model.config.latent_dim))
-        return decode(p, rep, Var(eps, tape), model.config.variant).value
+        return decode(p, _decoder_input(rep, Var(eps, tape), model.config.variant)).value
 
     # (graphs, n_per_graph, block rows); 21 x 1 in blocks of 5 would leave a
     # 1-row tail under a fixed-size split
@@ -444,9 +445,9 @@ class TestGenerate:
         rows = []
         decode_fn = model_mod.decode
 
-        def recording_decode(p, g_raw, z, variant):
-            rows.append(g_raw.value.shape[0])
-            return decode_fn(p, g_raw, z, variant)
+        def recording_decode(p, inp, *, hid=None, out=None):
+            rows.append(inp.value.shape[0])
+            return decode_fn(p, inp, hid=hid, out=out)
 
         monkeypatch.setattr(model_mod, "decode", recording_decode)
         out = model.generate(graphs[:n_graphs], n_per_graph=n_per_graph, seed=11)
@@ -458,6 +459,15 @@ class TestGenerate:
         assert total == 1 or min(rows) > 1
         if total > block:
             assert len(rows) > 1
+
+    def test_calls_return_fresh_arrays(self, trained):
+        model, graphs = trained
+        a = model.generate(graphs[:6], n_per_graph=3, seed=4)
+        kept = a.copy()
+        b = model.generate(graphs[:6], n_per_graph=3, seed=5)
+        assert not np.shares_memory(a, b)
+        assert np.array_equal(a, kept)
+        assert not np.array_equal(a, b)
 
     def test_zero_graphs(self, trained):
         model, graphs = trained
