@@ -6,9 +6,12 @@ corpus (a sine_mix and a heavy_tail series made from fixed seeds):
     ingest -> graph -> train (full, deterministic, no_graph)
            -> generate (--n-per-graph 1, 7 and 40) -> stats -> eval
               (with curves and embeddings, on the 7-per-graph windows)
+           -> eval (all 3000 windows against the 40-per-graph windows)
 
 The 900 eval graphs decode in 1, 2 and 9 blocks at the three ``--n-per-graph``
-values, so the digests cover one block, a few blocks and many blocks. This is
+values, so the digests cover one block, a few blocks and many blocks. The first
+eval's 900 rows fit in one distance chunk; the second scores 3000 rows, which
+split into 5, so the digests cover the chunked distance passes as well. This is
 followed by ``gradcheck`` for each variant at small widths and for ``full`` at
 the default widths (the last takes about a minute). Each artifact gives one
 ``sha256  path`` line, with the path relative to the run directory. Two
@@ -69,6 +72,8 @@ def _chain(root: Path, kind: str, seed: int) -> None:
         _run("eval", "--real", run / "eval_windows.txt", "--synth", run / "synth_n7.txt",
              "--out", run / "metrics.txt", "--curves-dir", run / "curves",
              "--embeddings-dir", run / "embeddings", "--checkpoint", ckpt)
+        _run("eval", "--real", root / "windows.txt", "--synth", run / "synth_n40.txt",
+             "--out", run / "metrics_n40.txt")
 
 
 def main() -> int:

@@ -23,7 +23,14 @@ norms of ``b``. Each row ``i`` carries a bound ``err_i`` with
   row sum ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1) u S_i`` of
   the reference sum. Rows with ``S_i - slack_i <= min_k (S_k + slack_k)``
   hold every minimizer; they are re-summed exactly and the lowest index
-  among the exact minima wins.
+  among the exact minima wins. The pass covers only the upper trapezoid:
+  chunk ``[lo, hi)`` meets the rows ``j >= lo``, and an entry with ``j >= hi``
+  is added to row ``j``'s sum as well as to row ``i``'s. It serves row ``j``
+  within ``err_j``: the reference is symmetric (``a_j - a_i`` is the exact
+  negation of ``a_i - a_j``, so ``fl(d_ji) = fl(d_ij)``), and ``|a_i| <= B``
+  keeps the pair's error within ``err_j`` (see below). A row sum accumulated
+  from partial sums, in any order, is still an n-term sum, so the slack
+  covers it.
 
 The bound. With ``u = 2**-53``, ``gamma_k = k u / (1 - k u)``, ``T`` the row
 length and ``B = max_j |b_j|``, the standard bounds (Higham, *Accuracy and
@@ -38,7 +45,9 @@ so for any blocking or FMA use in a conventional BLAS product:
   non-negative terms: ``|fl(d_ij) - d_ij| <= gamma_{T+2} d_ij <=
   gamma_{T+2} (|a_i| + |b_j|)^2``.
 
-Hence the gap to ``fl(d_ij)`` is at most ``2 gamma_{T+2} (|a_i| + B)^2``.
+Hence the gap to ``fl(d_ij)`` is at most ``2 gamma_{T+2} (|a_i| + B)^2``;
+for ``b = a`` the first two bounds are symmetric in ``i`` and ``j``, and
+``|a_i| <= B`` makes the gap at most ``2 gamma_{T+2} (|a_j| + B)^2`` as well.
 The code doubles that, ``err_i = 4 (T + 2) u (|a_i| + B)^2``, which covers
 the O(u^2) terms and the rounding of the norms and of the bound itself, and
 adds ``T * tiny`` for products that underflow; the medoid slack is doubled the
@@ -70,22 +79,29 @@ _TINY = np.finfo(np.float64).tiny
 
 
 def _gram_chunks(
-    a: np.ndarray, b: np.ndarray
+    a: np.ndarray, b: np.ndarray, upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield ``(lo, hi, g, err)`` with ``g[i - lo, j] = |b_j|^2 - 2 a[i].b[j]``
-    through BLAS and ``err[i - lo]`` the row's bound (module docstring)."""
+    through BLAS and ``err[i - lo]`` the row's bound (module docstring).
+
+    ``upper`` (with ``b`` being ``a``) yields only the columns ``j >= lo``, so
+    ``g[i - lo, j - lo]`` holds the pair and the chunks tile the upper trapezoid.
+    """
     n, t = a.shape
+    m = b.shape[0]
     nb2 = (b * b).sum(axis=1)
     norm_a = np.sqrt((a * a).sum(axis=1))
     err = 4 * (t + 2) * _U * (norm_a + np.sqrt(nb2.max())) ** 2 + t * _TINY
     b_t = (-2.0 * b).T
-    chunk = max(1, _CHUNK_BUDGET // b.shape[0])
+    chunk = max(1, _CHUNK_BUDGET // m)
     # one buffer per call, so its pages fault in once; g is overwritten on resume
-    buf = np.empty((min(chunk, n), b.shape[0]))
+    buf = np.empty(min(chunk, n) * m)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
-        g = np.matmul(a[lo:hi], b_t, out=buf[:hi - lo])
-        g += nb2
+        col = lo if upper else 0
+        g = buf[:(hi - lo) * (m - col)].reshape(hi - lo, m - col)
+        np.matmul(a[lo:hi], b_t[:, col:], out=g)
+        g += nb2[col:]
         yield lo, hi, g, err[lo:hi]
 
 
@@ -135,12 +151,16 @@ def medoid_index(a: np.ndarray) -> int:
     a = np.ascontiguousarray(a, dtype=np.float64)
     n, t = a.shape
     na2 = (a * a).sum(axis=1)
-    sums = np.empty(n)
+    sums = np.zeros(n)
     err = np.empty(n)
-    for lo, hi, d2, e in _gram_chunks(a, a):
+    # D is symmetric: each block's rows are summed into their own rows, and its
+    # columns past the block into theirs, whose rows are not yet reached
+    for lo, hi, d2, e in _gram_chunks(a, a, upper=True):
         d2 += na2[lo:hi, None]
         np.maximum(d2, 0.0, out=d2)
-        sums[lo:hi] = np.sqrt(d2, out=d2).sum(axis=1)
+        d = np.sqrt(d2, out=d2)
+        sums[lo:hi] += d.sum(axis=1)
+        sums[hi:] += d[:, hi - lo:].sum(axis=0)
         err[lo:hi] = e
     slack = 2 * n * np.sqrt(err) + 4 * (n + 1) * _U * sums
     cand = np.flatnonzero(~(sums - slack > (sums + slack).min()))

@@ -349,6 +349,9 @@ def grad_check(
     retried at shrinking step sizes up to ``refine_steps`` times and the best
     agreement kept: a kink straddle resolves as the step stops crossing it,
     a genuine gradient bug stays wrong at every step size.
+
+    A coordinate whose relative error at step ``h`` is NaN ends the check
+    with NaN as the result, which no tolerance passes.
     """
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -385,6 +388,8 @@ def grad_check(
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
             rel = rel_at(flat, i, a_flat[i], h)
+            if np.isnan(rel):
+                return rel  # a NaN probe fails the check; `rel > worst` would drop it
             step = h
             for _ in range(refine_steps):
                 if rel <= worst:

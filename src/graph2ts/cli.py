@@ -184,13 +184,17 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{args.real} holds windows of length T={real.shape[1]}, but "
                              f"checkpoint {args.checkpoint} has "
                              f"window_length={model.config.window_length}")
+    # made before the report, so a path that cannot be a directory fails the
+    # command with no report left behind
+    for out_dir in (args.curves_dir, args.embeddings_dir):
+        if out_dir:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
     report = metrics.evaluate(real, synth, seed=config.seed)
     fileio.write_metrics_report(args.out, report)
     for key, value in report.as_items():
         print(f"{key}={value:.6g}")
     if args.curves_dir:
         cdir = Path(args.curves_dir)
-        cdir.mkdir(parents=True, exist_ok=True)
         lag = real.shape[1] // 2
         for kind, curve in (("acf", lambda w: metrics.acf_mean_curve(w, lag)),
                             ("psd", metrics.psd_mean_curve)):
@@ -199,7 +203,6 @@ def cmd_eval(args) -> int:
                 fileio.write_curve(cdir / f"{name}.csv", name, curve(w))
     if args.embeddings_dir:
         edir = Path(args.embeddings_dir)
-        edir.mkdir(parents=True, exist_ok=True)
         fileio.write_embeddings(edir / "real_embeddings.txt", model.ts_embeddings(real))
         fileio.write_embeddings(edir / "synth_embeddings.txt", model.ts_embeddings(synth))
     return 0
@@ -252,6 +255,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (np.isfinite(args.h) and args.h > 0):
+        raise ValueError(f"--h must be finite and > 0, got {args.h!r}")
+    if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     config, _ = resolve_config(args)
     rng = np.random.default_rng(config.seed)
     raw = dataset.synth_generate("sine_mix", args.batch, config.window_length,

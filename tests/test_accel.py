@@ -59,17 +59,60 @@ def test_uneven_chunks_agree_with_brute_force(sets, monkeypatch):
 
 
 def test_gram_chunks_fill_one_buffer(sets, monkeypatch):
+    # the full form against b, and the upper form (b is a) against rows lo: only
     a, b = sets
-    monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * b.shape[0])
-    nb2 = (b * b).sum(axis=1)
-    bases = []
-    for lo, hi, g, _ in acc._gram_chunks(a, b):
-        want = a[lo:hi] @ (-2.0 * b).T
-        want += nb2
-        assert np.array_equal(g, want)
-        bases.append(g.base)
-    assert hi == a.shape[0] and len(bases) == 18
-    assert bases[0] is not None and all(base is bases[0] for base in bases)
+    for other, upper in ((b, False), (a, True)):
+        monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * other.shape[0])
+        nb2 = (other * other).sum(axis=1)
+        bases = []
+        for lo, hi, g, _ in acc._gram_chunks(a, other, upper=upper):
+            col = lo if upper else 0
+            want = a[lo:hi] @ (-2.0 * other[col:]).T
+            want += nb2[col:]
+            assert np.array_equal(g, want)
+            bases.append(g.base)
+        assert hi == a.shape[0] and len(bases) == 18
+        assert bases[0] is not None and all(base is bases[0] for base in bases)
+
+
+def brute_medoid(x):
+    return int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1)))
+
+
+def medoid_case(sets, case):
+    """Sets whose medoid must survive the half pass's row and column sums."""
+    a, b = sets
+    if case == "scales":
+        return [a * 1e-6, b * 1e-3, a * 1e5]
+    if case == "large_offset":
+        return [a + 1e3, b * 1e5 + 1e8]
+    if case == "rounded_copies":
+        r = np.round(a, 1)
+        return [np.vstack([r, r[::9]]), np.round(a[:, :3])]
+    if case == "twice":
+        return [np.vstack([a, a])]
+    if case == "collinear":
+        rng = np.random.default_rng(0)
+        return [offset + rng.permutation(8)[:, None] * 0.1 * rng.standard_normal((1, 6))
+                for offset in (0.0, 1e2 / 3, 1e4 / 3) for _ in range(4)]
+    if case == "last_row":  # the centre, appended last
+        return [np.vstack([a, a.mean(axis=0)]), np.vstack([b, np.zeros((1, 16))])]
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 50])
+@pytest.mark.parametrize("case", ["scales", "large_offset", "rounded_copies", "twice",
+                                  "collinear", "last_row"])
+def test_medoid_half_pass_chunks(sets, monkeypatch, case, rows):
+    # chunks of `rows` rows: every block's column sums feed later rows
+    for x in medoid_case(sets, case):
+        want = brute_medoid(x)
+        if case == "twice":
+            assert want < x.shape[0] // 2
+        if case == "last_row":
+            assert want == x.shape[0] - 1
+        monkeypatch.setattr(acc, "_CHUNK_BUDGET", rows * x.shape[0])
+        assert acc.medoid_index(x) == want
 
 
 def test_medoid_tie_takes_lowest_index(sets):

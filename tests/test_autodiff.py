@@ -449,6 +449,21 @@ class TestGradCheck:
         )
         assert err > 1e-2
 
+    @pytest.mark.parametrize("nan_probes", ["all", "after_finite"])
+    def test_nan_probe_is_the_result(self, rng, nan_probes):
+        # the report is NaN, which no tolerance passes, whether every probe is
+        # NaN or only those of the third coordinate, after finite ones
+        x = rng.uniform(0.5, 1.5, size=(1, 4))
+
+        def vf(arrs):
+            if nan_probes == "all" or arrs["x"][0, 2] != x[0, 2]:
+                return np.nan
+            return float((arrs["x"] ** 2).mean())
+
+        err = grad_check(lambda p: ad.mse_mean(p["x"], np.zeros((1, 4))), {"x": x},
+                         value_fn=vf)
+        assert np.isnan(err)
+
     def test_every_op_at_100_random_points(self, rng):
         # per-op property: analytic gradient matches central differences at
         # 100 random evaluation points (kink-adjacent probes refine away)

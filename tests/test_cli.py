@@ -261,6 +261,22 @@ class TestRejectedInputs:
         assert (str(cfg) in err) == with_file
         assert not rundir.exists()
 
+    @pytest.mark.parametrize("flag", ["--curves-dir", "--embeddings-dir"])
+    def test_eval_output_dir_is_a_file(self, tmp_path, capsys, flag):
+        _, rundir = _train_small(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        out = tmp_path / "metrics.txt"
+        capsys.readouterr()
+        rc = run("eval", "--real", rundir / "eval_windows.txt",
+                 "--synth", rundir / "eval_windows.txt", "--out", out, flag, taken,
+                 "--checkpoint", rundir / "checkpoint.g2ts")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(taken) in err
+        assert not out.exists()
+
 
 class TestChecks:
     def test_selfcheck(self, capsys):
@@ -294,3 +310,17 @@ class TestChecks:
         assert rc == 0
         ident = identity_graph(TrainConfig().n_states).reshape(1, -1)
         assert seen and all(np.array_equal(g, np.tile(ident, (3, 1))) for g in seen)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"), ("--h", "inf"),
+        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1e-4"),
+    ])
+    def test_gradcheck_rejects_bad_step_or_tolerance(self, tmp_path, capsys, flag, value):
+        report = tmp_path / "gc.txt"
+        rc = run("gradcheck", "--embed-dim", "3", "--latent-dim", "1", "--batch", "3",
+                 f"{flag}={value}", "--out", report)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} must be finite and ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not report.exists()
