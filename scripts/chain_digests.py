@@ -3,19 +3,23 @@
 The chain runs through ``graph2ts.cli.main`` in a temporary directory, once per
 corpus (a sine_mix and a heavy_tail series made from fixed seeds):
 
-    ingest -> graph -> train (full, deterministic, no_graph)
+    ingest -> graph -> eval (all 3000 windows against themselves)
+           -> train (full, deterministic, no_graph)
            -> generate (--n-per-graph 1, 7 and 40) -> stats -> eval
               (with curves and embeddings, on the 7-per-graph windows)
            -> eval (all 3000 windows against the 40-per-graph windows)
 
 The 900 eval graphs decode in 1, 2 and 9 blocks at the three ``--n-per-graph``
-values, so the digests cover one block, a few blocks and many blocks. The first
-eval's 900 rows fit in one distance chunk; the second scores 3000 rows, which
-split into 5, so the digests cover the chunked distance passes as well. This is
-followed by ``gradcheck`` for each variant at small widths and for ``full`` at
-the default widths (the last takes about a minute). Each artifact gives one
-``sha256  path`` line, with the path relative to the run directory. Two
-source trees produce the same bytes exactly when the outputs are equal:
+values, so the digests cover one block, a few blocks and many blocks. The
+eval on the 7-per-graph windows scores 900 rows, which fit in one distance
+chunk; the two evals of all 3000 windows split into 5, so the digests cover the
+chunked distance passes as well. Scored against themselves, every window's
+nearest synthetic neighbour is itself, at exactly 0.0, so the digests cover the
+exact-zero path at chunked scale too. This is followed by ``gradcheck`` for
+each variant at small widths and for ``full`` at the default widths (the last
+takes about a minute). Each artifact gives one ``sha256  path`` line, with the
+path relative to the run directory. Two source trees produce the same bytes
+exactly when the outputs are equal:
 
     python scripts/chain_digests.py > after.txt
     diff before.txt after.txt
@@ -60,6 +64,8 @@ def _chain(root: Path, kind: str, seed: int) -> None:
     _run("ingest", "--input", series, "--out", root / "windows.txt",
          "--window-length", WINDOW)
     _run("graph", "--windows", root / "windows.txt", "--out", root / "graphs.txt")
+    _run("eval", "--real", root / "windows.txt", "--synth", root / "windows.txt",
+         "--out", root / "metrics_self.txt")
     for variant in VARIANTS:
         run = root / variant
         _run("train", "--windows", root / "windows.txt", "--outdir", run,

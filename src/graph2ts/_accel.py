@@ -7,17 +7,26 @@ through BLAS and only proposes candidates; the reference value is recomputed
 for the candidates alone.
 
 Candidates. One chunked pass computes ``g_ij = |b_j|^2 - 2 a_i.b_j`` as a
-matrix product (``b`` is scaled by -2 first, which is exact) plus the squared
-norms of ``b``. Each row ``i`` carries a bound ``err_i`` with
-``|g_ij + |a_i|^2 - fl(d_ij)| <= err_i`` for every ``j``.
+single matrix product of augmented operands, ``[a_i | 1] . [-2 b_j | nb2_j]``,
+with ``nb2_j`` the computed squared norm of ``b_j`` (scaling by -2 is exact).
+The medoid's pass appends ``na2_i`` on the left and a 1 on the right, so its
+product is ``D_ij = na2_i + nb2_j - 2 a_i.b_j`` directly. No sweep adds the
+norms afterwards. Each row ``i`` carries a bound ``err_i`` with
+``|g_ij + |a_i|^2 - fl(d_ij)| <= err_i`` and ``|D_ij - fl(d_ij)| <= err_i``
+for every ``j``.
 
 * Min kernels. If ``j*`` minimizes ``fl(d_ij)`` and ``k`` minimizes ``g_ij``,
   then ``g_ij* + |a_i|^2 <= fl(d_ij*) + err_i <= fl(d_ik) + err_i <=
   g_ik + |a_i|^2 + 2 err_i``: the row constant ``|a_i|^2`` cancels, and the
-  pairs with ``g_ij <= min_k g_ik + 2 err_i`` hold every minimizer. The
-  result is the minimum of the recomputed ``fl(d_ij)`` over those pairs.
-* Medoid. ``D_ij = g_ij + |a_i|^2`` is within ``err_i`` of ``fl(d_ij)`` too
-  (see below), and ``|sqrt x - sqrt y| <= sqrt|x - y|`` puts each term
+  pairs with ``g_ij <= g_ik + 2 err_i`` hold every minimizer. The pass takes
+  ``k`` by ``argmin`` and the smallest ``g_ij`` over ``j != k``. If that
+  runner-up exceeds the bound, ``k`` is the row's only candidate. Otherwise
+  (an exact tie, a near-tie, or a NaN, since ``NaN > x`` is false) the row
+  takes every pair with ``not g_ij > g_ik + 2 err_i``, so a NaN row keeps
+  every pair. The result is the minimum of the recomputed ``fl(d_ij)`` over
+  the candidates. With the row itself excluded, its own pair is set to
+  ``inf`` first and never counts as a candidate.
+* Medoid. ``|sqrt x - sqrt y| <= sqrt|x - y|`` puts each term
   ``sqrt(max(D_ij, 0))`` within ``sqrt(err_i)`` of the reference term. With
   the rounding of both square roots and of both n-term sums, the approximate
   row sum ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1) u S_i`` of
@@ -37,24 +46,31 @@ length and ``B = max_j |b_j|``, the standard bounds (Higham, *Accuracy and
 Stability of Numerical Algorithms*, ch. 3) hold for any summation order, and
 so for any blocking or FMA use in a conventional BLAS product:
 
-* the dot product is within ``gamma_T 2 |a_i||b_j|`` (Cauchy-Schwarz), each
-  squared norm within ``gamma_T`` of its value, and each add rounds once, so
-  the computed ``g_ij + |a_i|^2`` and the computed ``D_ij`` are both within
-  ``gamma_{T+2} (|a_i| + |b_j|)^2`` of the exact ``d_ij``;
+* each computed squared norm is ``nb2_j = |b_j|^2 (1 + t_j)`` with
+  ``|t_j| <= gamma_T``, and likewise ``na2_i``;
+* a K-term product ``x.y`` is within ``gamma_K sum_k |x_k y_k|``. For ``D``
+  (``K = T + 2``) that sum is at most ``2 |a_i||b_j| + na2_i + nb2_j``
+  (Cauchy-Schwarz), and the exact ``na2_i + nb2_j - 2 a_i.b_j`` is within
+  ``gamma_T (|a_i|^2 + |b_j|^2)`` of ``d_ij``. With ``nb2_j <= (1 + gamma_T)
+  |b_j|^2`` and ``gamma_j + gamma_k + gamma_j gamma_k <= gamma_{j+k}``, the
+  computed ``D_ij`` is within ``gamma_{2T+2} (|a_i| + |b_j|)^2`` of ``d_ij``.
+  ``g_ij`` (``K = T + 1``, no ``na2_i``) gives ``g_ij + |a_i|^2`` within
+  ``gamma_{2T+1} (|a_i| + |b_j|)^2`` of ``d_ij`` the same way;
 * the reference rounds the difference, the square and a sum of ``T``
   non-negative terms: ``|fl(d_ij) - d_ij| <= gamma_{T+2} d_ij <=
   gamma_{T+2} (|a_i| + |b_j|)^2``.
 
-Hence the gap to ``fl(d_ij)`` is at most ``2 gamma_{T+2} (|a_i| + B)^2``;
-for ``b = a`` the first two bounds are symmetric in ``i`` and ``j``, and
-``|a_i| <= B`` makes the gap at most ``2 gamma_{T+2} (|a_j| + B)^2`` as well.
-The code doubles that, ``err_i = 4 (T + 2) u (|a_i| + B)^2``, which covers
-the O(u^2) terms and the rounding of the norms and of the bound itself, and
-adds ``T * tiny`` for products that underflow; the medoid slack is doubled the
-same way. The bound only decides how many pairs are recomputed: a row far
-from the rest (large ``B``) or a large common offset widens it, which costs
-time, never exactness. A NaN row keeps every pair, so NaN propagates as in
-the reference.
+Hence the gap to ``fl(d_ij)`` is at most ``gamma_{3T+4} (|a_i| + B)^2`` for
+both forms; for ``b = a`` the bounds are symmetric in ``i`` and ``j``, and
+``|a_i| <= B`` makes the gap at most ``gamma_{3T+4} (|a_j| + B)^2`` as well.
+The code takes twice the first-order term, ``err_i = 2 (3T + 4) u (|a_i| +
+B)^2``, which covers the O(u^2) part of ``gamma_{3T+4}`` and the rounding of
+the bound itself (the computed ``(|a_i| + B)^2`` is low by a relative
+O(T u) at most) for any ``(4T + 14) u <= 1/2``. It adds ``T * tiny`` for
+products and squares that underflow; the medoid slack is doubled the same
+way. The bound only decides how many pairs are recomputed: a row far from
+the rest (large ``B``) or a large common offset widens it, which costs time,
+never exactness.
 """
 
 from __future__ import annotations
@@ -82,17 +98,31 @@ def _gram_chunks(
     a: np.ndarray, b: np.ndarray, upper: bool = False
 ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
     """Yield ``(lo, hi, g, err)`` with ``g[i - lo, j] = |b_j|^2 - 2 a[i].b[j]``
-    through BLAS and ``err[i - lo]`` the row's bound (module docstring).
+    from one BLAS product of augmented operands and ``err[i - lo]`` the row's
+    bound (module docstring).
 
-    ``upper`` (with ``b`` being ``a``) yields only the columns ``j >= lo``, so
-    ``g[i - lo, j - lo]`` holds the pair and the chunks tile the upper trapezoid.
+    ``upper`` (with ``b`` being ``a``) is the medoid's pass: ``g`` also holds
+    ``|a_i|^2``, so it is ``D``, and only the columns ``j >= lo`` are yielded,
+    so ``g[i - lo, j - lo]`` holds the pair and the chunks tile the upper
+    trapezoid.
     """
+    if not (a.ndim == b.ndim == 2 and a.size and b.size and a.shape[1] == b.shape[1]):
+        raise ValueError("distance kernels need two non-empty 2-D sets of one width, "
+                         f"got shapes {a.shape} and {b.shape}")
     n, t = a.shape
     m = b.shape[0]
     nb2 = (b * b).sum(axis=1)
-    norm_a = np.sqrt((a * a).sum(axis=1))
-    err = 4 * (t + 2) * _U * (norm_a + np.sqrt(nb2.max())) ** 2 + t * _TINY
-    b_t = (-2.0 * b).T
+    na2 = nb2 if b is a else (a * a).sum(axis=1)
+    err = 2 * (3 * t + 4) * _U * (np.sqrt(na2) + np.sqrt(nb2.max())) ** 2 + t * _TINY
+    # [a | 1 (| na2)] and [-2b | nb2 (| 1)]^T: the product carries the norms
+    width = t + 2 if upper else t + 1
+    left = np.ones((n, width))
+    left[:, :t] = a
+    right = np.ones((width, m))
+    np.multiply(b.T, -2.0, out=right[:t])
+    right[t] = nb2
+    if upper:
+        left[:, t + 1] = na2
     chunk = max(1, _CHUNK_BUDGET // m)
     # one buffer per call, so its pages fault in once; g is overwritten on resume
     buf = np.empty(min(chunk, n) * m)
@@ -100,8 +130,7 @@ def _gram_chunks(
         hi = min(n, lo + chunk)
         col = lo if upper else 0
         g = buf[:(hi - lo) * (m - col)].reshape(hi - lo, m - col)
-        np.matmul(a[lo:hi], b_t[:, col:], out=g)
-        g += nb2[col:]
+        np.matmul(left[lo:hi], right[:, col:], out=g)
         yield lo, hi, g, err[lo:hi]
 
 
@@ -118,13 +147,19 @@ def _exact_sq_dist(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray)
 def _nn_dist(a: np.ndarray, b: np.ndarray, exclude_self: bool) -> np.ndarray:
     out = np.empty(a.shape[0])
     for lo, hi, g, err in _gram_chunks(a, b):
+        rows = np.arange(hi - lo)
         if exclude_self:
-            rows = np.arange(hi - lo)
             g[rows, rows + lo] = np.inf
-        bound = g.min(axis=1) + 2 * err
-        # ~(x > bound) rather than x <= bound keeps every pair of a NaN row
-        ii, jj = np.divmod(np.flatnonzero(~(g > bound[:, None])), g.shape[1])
-        if exclude_self:  # a one-row set has only itself as candidate
+        k = g.argmin(axis=1)
+        bound = g[rows, k] + 2 * err
+        g[rows, k] = np.inf
+        # ~(x > bound) rather than x <= bound sends NaN rows to the full mask
+        tied = np.flatnonzero(~(g.min(axis=1) > bound))
+        # every row's k, then the rest of each tied row's mask (k's g is inf now)
+        ii, jj = np.divmod(np.flatnonzero(~(g[tied] > bound[tied, None])), g.shape[1])
+        ii = np.concatenate([rows, tied[ii]])
+        jj = np.concatenate([k, jj])
+        if exclude_self:  # a row with an inf or NaN bound can propose itself
             keep = ii + lo != jj
             ii, jj = ii[keep], jj[keep]
         best = np.full(hi - lo, np.inf)
@@ -149,14 +184,12 @@ def nn_dist_excl_self(a: np.ndarray) -> np.ndarray:
 def medoid_index(a: np.ndarray) -> int:
     """Index of the row minimizing the summed distance to all rows (ties: lowest)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
-    n, t = a.shape
-    na2 = (a * a).sum(axis=1)
+    n = a.shape[0]
     sums = np.zeros(n)
     err = np.empty(n)
     # D is symmetric: each block's rows are summed into their own rows, and its
     # columns past the block into theirs, whose rows are not yet reached
     for lo, hi, d2, e in _gram_chunks(a, a, upper=True):
-        d2 += na2[lo:hi, None]
         np.maximum(d2, 0.0, out=d2)
         d = np.sqrt(d2, out=d2)
         sums[lo:hi] += d.sum(axis=1)
@@ -166,7 +199,7 @@ def medoid_index(a: np.ndarray) -> int:
     cand = np.flatnonzero(~(sums - slack > (sums + slack).min()))
     exact = np.empty(cand.size)
     cols = np.arange(n)
-    step = max(1, _CHUNK_BUDGET // (n * t))
+    step = max(1, _CHUNK_BUDGET // a.size)
     for lo in range(0, cand.size, step):
         rows = cand[lo:lo + step]
         d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))

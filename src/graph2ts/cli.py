@@ -189,7 +189,11 @@ def cmd_eval(args) -> int:
     for out_dir in (args.curves_dir, args.embeddings_dir):
         if out_dir:
             Path(out_dir).mkdir(parents=True, exist_ok=True)
-    report = metrics.evaluate(real, synth, seed=config.seed)
+    try:
+        report = metrics.evaluate(real, synth, seed=config.seed)
+    except ValueError as err:
+        raise ValueError(f"cannot score {args.synth} (synth) against {args.real} (real): "
+                         f"{err}") from None
     fileio.write_metrics_report(args.out, report)
     for key, value in report.as_items():
         print(f"{key}={value:.6g}")

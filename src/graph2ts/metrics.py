@@ -214,7 +214,7 @@ def _proto_err(d_rs: np.ndarray) -> tuple[float, float]:
 
 def _coverage(d_rs: np.ndarray, nn_r: np.ndarray, q: float) -> float:
     if nn_r.size < 2:
-        raise ValueError("need at least 2 real windows")
+        raise ValueError(f"coverage needs at least 2 real windows, got {nn_r.size}")
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
     tau = float(np.quantile(nn_r, q))
@@ -233,12 +233,12 @@ def mdr(real, synth) -> float:
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
     if r.shape[0] < 2:
-        raise ValueError("need at least 2 real windows")
+        raise ValueError(f"mdr needs at least 2 real windows, got {r.shape[0]}")
     m_r = r[_accel.medoid_index(r)]
     m_s = s[_accel.medoid_index(s)]
     denom = float(np.sqrt(((r - m_r) ** 2).sum(axis=1)).mean())
     if denom == 0.0:
-        raise ValueError("all real windows identical; mdr undefined")
+        raise ValueError(f"all {r.shape[0]} real windows identical; mdr undefined")
     return float(np.sqrt(((m_r - m_s) ** 2).sum())) / denom
 
 
@@ -254,12 +254,12 @@ def coverage(real, synth, q: float) -> float:
 # tail diagnostics and the variance decomposition checker
 # ---------------------------------------------------------------------------
 
-def _tail_stats_1d(values: np.ndarray) -> TailStats:
+def _tail_stats_1d(values: np.ndarray, what: str) -> TailStats:
     v = values.ravel()
     mean = float(v.mean())
     m2 = float(((v - mean) ** 2).mean())
     if m2 == 0.0:
-        raise ValueError("zero variance; kurtosis undefined")
+        raise ValueError(f"zero variance in the {what}; kurtosis undefined")
     m4 = float(((v - mean) ** 4).mean())
     lo, hi = np.quantile(v, TAIL_QUANTILES)
     return TailStats(
@@ -270,12 +270,16 @@ def _tail_stats_1d(values: np.ndarray) -> TailStats:
     )
 
 
-def tail_stats(windows) -> tuple[TailStats, TailStats]:
-    """Pooled tail statistics for raw values and within-window first differences."""
-    w = _as_windows(windows, "windows")
+def tail_stats(windows, name: str = "windows") -> tuple[TailStats, TailStats]:
+    """Pooled tail statistics for raw values and within-window first differences.
+
+    ``name`` labels the set in errors.
+    """
+    w = _as_windows(windows, name)
     if w.shape[1] < 2:
         raise ValueError("windows too short for first differences")
-    return _tail_stats_1d(w), _tail_stats_1d(np.diff(w, axis=1))
+    return (_tail_stats_1d(w, f"values of the {name} set"),
+            _tail_stats_1d(np.diff(w, axis=1), f"first differences of the {name} set"))
 
 
 def variance_decomposition_check(
@@ -323,6 +327,10 @@ def evaluate(
     s = _as_windows(synth, "synth")
     if r.shape[1] != s.shape[1]:
         raise ValueError("window lengths differ between sets")
+    # checked before subsampling, which cuts the larger set to the smaller count
+    if min(r.shape[0], s.shape[0]) < 2:
+        raise ValueError(f"need at least 2 windows in each set, got {r.shape[0]} real "
+                         f"and {s.shape[0]} synth")
     rng = np.random.default_rng(seed)
     if r.shape[0] > s.shape[0]:
         r = r[np.sort(rng.choice(r.shape[0], s.shape[0], replace=False))]
@@ -332,8 +340,8 @@ def evaluate(
     d_rs = _accel.min_dist_to_set(r, s)
     nn_r = _accel.nn_dist_excl_self(r)
     avg, med = _proto_err(d_rs)
-    tails_r = tail_stats(r)
-    tails_s = tail_stats(s)
+    tails_r = tail_stats(r, "real")
+    tails_s = tail_stats(s, "synth")
     return MetricsReport(
         wasserstein=wasserstein1_pooled(r, s),
         ks=ks_pooled(r, s),

@@ -1,5 +1,7 @@
 """The distance and counting kernels against brute-force references, bit for bit."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -59,17 +61,20 @@ def test_uneven_chunks_agree_with_brute_force(sets, monkeypatch):
 
 
 def test_gram_chunks_fill_one_buffer(sets, monkeypatch):
-    # the full form against b, and the upper form (b is a) against rows lo: only
+    # one product of augmented operands: [a | 1] . [-2b | |b|^2] against b, and
+    # [a | 1 | |a|^2] . [-2a | |a|^2 | 1] (b is a) against rows lo: only
     a, b = sets
     for other, upper in ((b, False), (a, True)):
         monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * other.shape[0])
         nb2 = (other * other).sum(axis=1)
+        ones = np.ones((a.shape[0], 1))
+        left = np.hstack([a, ones, nb2[:, None]] if upper else [a, ones])
+        tail = [nb2[:, None], ones[:other.shape[0]]] if upper else [nb2[:, None]]
+        right = np.hstack([-2.0 * other] + tail).T.copy()  # C order, as the kernel's
         bases = []
         for lo, hi, g, _ in acc._gram_chunks(a, other, upper=upper):
             col = lo if upper else 0
-            want = a[lo:hi] @ (-2.0 * other[col:]).T
-            want += nb2[col:]
-            assert np.array_equal(g, want)
+            assert np.array_equal(g, left[lo:hi] @ right[:, col:])
             bases.append(g.base)
         assert hi == a.shape[0] and len(bases) == 18
         assert bases[0] is not None and all(base is bases[0] for base in bases)
@@ -215,3 +220,79 @@ def test_identical_rows_give_exact_zero(sets):
     dup = np.vstack([a, a[:16]])
     nn = acc.nn_dist_excl_self(dup)
     assert (nn[:16] == 0.0).all() and (nn[-16:] == 0.0).all()
+
+
+def assert_nn_kernels_match_brute(a, b):
+    """min_dist_to_set(a, b) and nn_dist_excl_self(a) against the reference, NaN included."""
+    assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)),
+                          equal_nan=True)
+    d2 = brute_d2(a, a)
+    np.fill_diagonal(d2, np.inf)
+    assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)), equal_nan=True)
+
+
+def candidate_case(sets, case):
+    a, b = sets
+    if case == "duplicates":  # every third row of a has two copies in b: an exact tie
+        return a, np.vstack([b, a[::3], a[::3], b[:10]])
+    if case == "nan_a":
+        x = a.copy()
+        x[4, 2] = np.nan
+        return x, b
+    if case == "nan_b":
+        y = b.copy()
+        y[11, 0] = np.nan
+        return a, y
+    if case == "copies_in_a":
+        return np.vstack([a, a[::4], a[:2]]), b
+    if case == "large_offset":
+        return a + 1e6, b + 1e6
+    if case == "near_ties":  # pairs 1e-9 apart, far inside the bound at offset 1e4
+        nudged = b.copy()
+        nudged[:, 0] += 1e-9
+        return a + 1e4, np.vstack([b, nudged]) + 1e4
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7, 50])
+@pytest.mark.parametrize("case", ["duplicates", "nan_a", "nan_b", "copies_in_a",
+                                  "large_offset", "near_ties"])
+def test_argmin_candidates_match_brute(sets, monkeypatch, case, rows):
+    # ties and near-ties leave the argmin-only path for the full mask
+    a, b = candidate_case(sets, case)
+    if rows is not None:
+        monkeypatch.setattr(acc, "_CHUNK_BUDGET", rows * max(a.shape[0], b.shape[0]))
+    assert_nn_kernels_match_brute(a, b)
+
+
+def test_nan_row_gives_nan(sets):
+    a, b = candidate_case(sets, "nan_a")
+    assert np.isnan(acc.min_dist_to_set(a, b)[4])
+    assert np.isnan(acc.nn_dist_excl_self(a)).all()  # every row is NaN away from row 4
+    a, b = candidate_case(sets, "nan_b")
+    assert np.isnan(acc.min_dist_to_set(a, b)).all()
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+def test_nn_excl_self_one_row_and_duplicates(sets, monkeypatch, rows):
+    a, _ = sets
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", rows * (a.shape[0] + 1))
+    assert np.array_equal(acc.nn_dist_excl_self(a[:1]), [np.inf])
+    twice = np.vstack([a, a[::-1]])
+    assert (acc.nn_dist_excl_self(twice) == 0.0).all()
+    monkeypatch.setattr(acc, "_CHUNK_BUDGET", rows * 2)
+    assert np.array_equal(acc.nn_dist_excl_self(a[:2].repeat(2, axis=0)), [0.0] * 4)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [
+    ((5, 3), (0, 3)), ((0, 3), (5, 3)), ((5, 0), (5, 0)), ((5, 3), (4, 2)),
+])
+def test_min_dist_rejects_empty_or_mismatched(a_shape, b_shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shapes {a_shape} and {b_shape}")):
+        acc.min_dist_to_set(np.ones(a_shape), np.ones(b_shape))
+
+
+@pytest.mark.parametrize("kernel", [acc.nn_dist_excl_self, acc.medoid_index])
+def test_self_kernels_reject_empty(kernel):
+    with pytest.raises(ValueError, match=re.escape("got shapes (0, 4) and (0, 4)")):
+        kernel(np.empty((0, 4)))

@@ -231,6 +231,28 @@ class TestRejectedInputs:
         assert f"error: {real} holds windows of length T=32, but {synth} holds T=16" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("case, want", [
+        ("one_synth", "need at least 2 windows in each set, got 20 real and 1 synth"),
+        ("flat_synth", "zero variance in the values of the synth set; kurtosis undefined"),
+        ("flat_real_steps", "zero variance in the first differences of the real set"),
+        ("same_real", "all 20 real windows identical; mdr undefined"),
+    ])
+    def test_eval_names_the_set_at_fault(self, tmp_path, capsys, case, want):
+        real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
+        windows = synth_generate("sine_mix", 20, 32, 1)
+        ramp = np.arange(32.0) + np.arange(20.0)[:, None]  # every step is 1
+        fileio.write_windows(real, {"flat_real_steps": ramp,
+                                    "same_real": np.tile(windows[:1], (20, 1))}.get(case, windows))
+        fileio.write_windows(synth, {"one_synth": windows[:1],
+                                     "flat_synth": np.zeros((20, 32))}.get(case, windows[::-1]))
+        out = tmp_path / "metrics.txt"
+        assert run("eval", "--real", real, "--synth", synth, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: cannot score {synth} (synth) against {real} (real): ")
+        assert want in err
+        assert not out.exists()
+
     def test_eval_embeddings_checkpoint_mismatch(self, tmp_path, capsys):
         _, rundir = _train_small(tmp_path)
         ckpt = rundir / "checkpoint.g2ts"
