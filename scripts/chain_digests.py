@@ -24,6 +24,12 @@ exactly when the outputs are equal:
     python scripts/chain_digests.py > after.txt
     diff before.txt after.txt
 
+Each corpus is also trained once more with the ``TRAIN`` settings read from a
+``--config`` file instead of flags. The script exits non-zero unless that run's
+artifacts equal the flag-driven ``full`` run's byte for byte, which shows that
+file and flags resolve to the same settings. The twin is removed before the
+digests are taken.
+
 The package is imported from the ``src`` directory next to this script.
 """
 
@@ -32,6 +38,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import shutil
 import sys
 import tempfile
 from pathlib import Path
@@ -80,6 +87,22 @@ def _chain(root: Path, kind: str, seed: int) -> None:
              "--embeddings-dir", run / "embeddings", "--checkpoint", ckpt)
         _run("eval", "--real", root / "windows.txt", "--synth", run / "synth_n40.txt",
              "--out", run / "metrics_n40.txt")
+    _check_config_twin(root)
+
+
+def _check_config_twin(root: Path) -> None:
+    """Train ``full`` from a config file holding TRAIN and compare with the flag run."""
+    cfg = root / "train.cfg"
+    cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {value}\n"
+                           for flag, value in zip(TRAIN[::2], TRAIN[1::2])))
+    twin = root / "full_config"
+    _run("train", "--windows", root / "windows.txt", "--outdir", twin, "--config", cfg)
+    for path in sorted(twin.iterdir()):
+        if path.read_bytes() != (root / "full" / path.name).read_bytes():
+            raise SystemExit(f"chain_digests: {path.name} from --config {cfg} differs "
+                             f"from the flag-driven full run")
+    shutil.rmtree(twin)
+    cfg.unlink()
 
 
 def main() -> int:

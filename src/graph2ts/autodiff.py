@@ -42,6 +42,8 @@ __all__ = [
     "grad_check",
 ]
 
+NORM_EPS = 1e-12  # l2_normalize_rows rejects a row norm at or below this
+
 
 class Var:
     """A tape-tracked 2-D array; ``grad`` stays None until a gradient reaches it."""
@@ -159,10 +161,10 @@ def mlp2(
     return _out(x.tape, y, "mlp2", backward)
 
 
-def l2_normalize_rows(x: Var, eps: float = 1e-12) -> Var:
+def l2_normalize_rows(x: Var) -> Var:
     """Rows scaled to unit Euclidean norm; dX = (g - y (y·g)) / ‖x‖ per row."""
     norms = np.sqrt((x.value * x.value).sum(axis=1, keepdims=True))
-    if (norms <= eps).any():
+    if (norms <= NORM_EPS).any():
         raise ValueError("l2_normalize_rows: near-zero row norm")
     y = x.value / norms
     return _out(
@@ -323,20 +325,22 @@ def weighted_sum(terms: list[Var], weights: list[float]) -> Var:
 # finite-difference checking
 # ---------------------------------------------------------------------------
 
+GRADCHECK_DENOM_FLOOR = 1e-3
+GRADCHECK_REFINE_STEPS = 3
+
+
 def grad_check(
     f: Callable[[dict[str, Var]], Var],
     params: dict[str, np.ndarray],
     h: float = 1e-5,
-    denom_floor: float = 1e-3,
     value_fn: Callable[[dict[str, np.ndarray]], float] | None = None,
-    refine_steps: int = 3,
 ) -> float:
     """Max per-coordinate relative error of tape gradients vs central differences.
 
     ``f`` builds a scalar computation from a dict of leaves. The relative
-    error is |analytic - fd| / max(|analytic|, |fd|, denom_floor); the floor
-    keeps coordinates whose true gradient sits below the finite-difference
-    noise level from dominating the report.
+    error is |analytic - fd| / max(|analytic|, |fd|, GRADCHECK_DENOM_FLOOR);
+    the floor keeps coordinates whose true gradient sits below the
+    finite-difference noise level from dominating the report.
 
     ``value_fn``, when given, evaluates the same scalar directly from plain
     arrays and is used for the finite-difference probes. Supplying an
@@ -346,9 +350,9 @@ def grad_check(
     A probe that straddles a nondifferentiable point (ReLU kink, sort tie
     within h of the evaluation point) reports the average of two one-sided
     slopes, not the subgradient the tape computes. Offending coordinates are
-    retried at shrinking step sizes up to ``refine_steps`` times and the best
-    agreement kept: a kink straddle resolves as the step stops crossing it,
-    a genuine gradient bug stays wrong at every step size.
+    retried at shrinking step sizes up to ``GRADCHECK_REFINE_STEPS`` times and
+    the best agreement kept: a kink straddle resolves as the step stops
+    crossing it, a genuine gradient bug stays wrong at every step size.
 
     A coordinate whose relative error at step ``h`` is NaN ends the check
     with NaN as the result, which no tolerance passes.
@@ -380,7 +384,7 @@ def grad_check(
         fm = value_at()
         flat[i] = orig
         fd = (fp - fm) / (2.0 * step)
-        return float(abs(a - fd) / max(abs(a), abs(fd), denom_floor))
+        return float(abs(a - fd) / max(abs(a), abs(fd), GRADCHECK_DENOM_FLOOR))
 
     worst = 0.0
     for name, arr in work.items():
@@ -391,7 +395,7 @@ def grad_check(
             if np.isnan(rel):
                 return rel  # a NaN probe fails the check; `rel > worst` would drop it
             step = h
-            for _ in range(refine_steps):
+            for _ in range(GRADCHECK_REFINE_STEPS):
                 if rel <= worst:
                     break
                 step /= 4.0

@@ -1,9 +1,12 @@
 """Pipeline subcommands over the versioned artifact files.
 
 Configuration precedence is defaults < config file < command-line flags.
-The config file holds `key = value` lines (# comments allowed); unknown keys
-are rejected. Log verbosity comes from the GRAPH2TS_LOG_LEVEL environment
-variable.
+Each subcommand takes `--config` and a flag only for the config keys it
+reads; `stats` and `selfcheck` read none and take neither. The config file
+holds `key = value` lines (# comments allowed). One file serves the whole
+chain, so it may hold any key of the schema: keys a command does not read are
+ignored, and unknown keys are rejected. Log verbosity comes from the
+GRAPH2TS_LOG_LEVEL environment variable.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from .model import (
     VARIANTS,
     TrainConfig,
     batch_objective,
-    beta_schedule,
     conditioning_graphs,
     init_params,
     objective_value,
@@ -50,6 +52,10 @@ _ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
 
 _EXTRA_DEFAULTS = {"eval_fraction": 0.2, "stride": None}
 
+_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig)) + ("eval_fraction",)
+_GRADCHECK_KEYS = ("window_length", "n_states", "embed_dim", "latent_dim",
+                   "w_align", "w_recon", "w_dist", "beta_max", "seed", "variant")
+
 ABLATION_GRID = VARIANTS + ("w_recon=0", "w_align=0", "w_dist=0", "beta_max=0")
 
 ABLATION_MAGIC = "# graph2ts-ablation v1"
@@ -65,19 +71,32 @@ def _coerce(key: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse `key = value` lines; any key outside the schema is an error."""
+    """Parse `key = value` lines. Text that is not UTF-8, a key outside the
+    schema, a value that does not parse, or a value TrainConfig rejects is an
+    error that names the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, raw = (s.strip() for s in line.split("=", 1))
-            if key not in _ALL_KEYS:
-                raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, raw = (s.strip() for s in line.split("=", 1))
+        if key not in _ALL_KEYS:
+            raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        try:
             out[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
+    try:
+        TrainConfig(**{k: v for k, v in out.items() if k not in _EXTRA_DEFAULTS})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return out
 
 
@@ -85,7 +104,7 @@ def resolve_config(args) -> tuple[TrainConfig, dict]:
     """Merge defaults, config file, and flags into a TrainConfig plus extras."""
     merged = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     merged.update(_EXTRA_DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         merged.update(load_config_file(args.config))
     for key in _ALL_KEYS:
         val = getattr(args, key, None)
@@ -133,8 +152,7 @@ def cmd_train(args) -> int:
         raise ValueError(f"{args.windows} holds windows of length T={windows.shape[1]}, but "
                          f"{args.config or 'the configuration'} sets "
                          f"window_length={config.window_length}")
-    data = dataset.split(windows, extras["eval_fraction"], config.seed,
-                         stride=extras["stride"])
+    data = dataset.split(windows, extras["eval_fraction"], config.seed)
     model, log = train(config, data)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -162,8 +180,7 @@ def cmd_generate(args) -> int:
     if q != model.config.n_states:
         raise ValueError(f"{args.graphs} holds graphs with Q={q}, but checkpoint "
                          f"{args.checkpoint} has Q={model.config.n_states}")
-    seed = args.seed if args.seed is not None else config.seed
-    synth = model.generate(graphs, n_per_graph=args.n_per_graph, seed=seed)
+    synth = model.generate(graphs, n_per_graph=args.n_per_graph, seed=config.seed)
     fileio.write_windows(args.out, synth)
     print(f"generate: {synth.shape[0]} windows -> {args.out}")
     return 0
@@ -184,16 +201,16 @@ def cmd_eval(args) -> int:
             raise ValueError(f"{args.real} holds windows of length T={real.shape[1]}, but "
                              f"checkpoint {args.checkpoint} has "
                              f"window_length={model.config.window_length}")
-    # made before the report, so a path that cannot be a directory fails the
-    # command with no report left behind
-    for out_dir in (args.curves_dir, args.embeddings_dir):
-        if out_dir:
-            Path(out_dir).mkdir(parents=True, exist_ok=True)
     try:
         report = metrics.evaluate(real, synth, seed=config.seed)
     except ValueError as err:
         raise ValueError(f"cannot score {args.synth} (synth) against {args.real} (real): "
                          f"{err}") from None
+    # made after scoring, so a scoring error leaves no directory behind, and
+    # before the report, so a path that cannot be a directory leaves no report
+    for out_dir in (args.curves_dir, args.embeddings_dir):
+        if out_dir:
+            Path(out_dir).mkdir(parents=True, exist_ok=True)
     fileio.write_metrics_report(args.out, report)
     for key, value in report.as_items():
         print(f"{key}={value:.6g}")
@@ -233,8 +250,7 @@ def _ablation_config(base: TrainConfig, label: str) -> TrainConfig:
 def cmd_ablate(args) -> int:
     config, extras = resolve_config(args)
     windows = fileio.read_windows(args.windows)
-    data = dataset.split(windows, extras["eval_fraction"], config.seed,
-                         stride=extras["stride"])
+    data = dataset.split(windows, extras["eval_fraction"], config.seed)
     columns = [
         "config", "wasserstein", "ks", "acf_mae", "psd_l2",
         "proto_err_avg", "proto_err_med", "mdr", "coverage_0.5", "coverage_0.9",
@@ -277,14 +293,12 @@ def cmd_gradcheck(args) -> int:
     eps = None
     if config.variant != "deterministic":
         eps = rng.standard_normal((args.batch, config.latent_dim))
-    beta = beta_schedule(config.kl_warmup_epochs, config.kl_warmup_epochs,
-                         config.beta_max)
 
     def objective(leaves):
-        return batch_objective(leaves, x, graphs, eps, config, beta)[0]
+        return batch_objective(leaves, x, graphs, eps, config, config.beta_max)[0]
 
     def plain_value(arrs):
-        return objective_value(arrs, x, graphs, eps, config, beta)
+        return objective_value(arrs, x, graphs, eps, config, config.beta_max)
 
     worst = grad_check(objective, params, h=args.h, value_fn=plain_value)
     status = "PASS" if worst <= args.tolerance else "FAIL"
@@ -337,14 +351,16 @@ def cmd_selfcheck(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
+    """``--config`` plus one override flag per config key in ``keys``."""
     p.add_argument("--config", help="key = value config file")
     g = p.add_argument_group("config overrides")
-    for key in sorted(_INT_KEYS):
-        g.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    for key in sorted(_FLOAT_KEYS):
-        g.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float)
-    g.add_argument("--variant", dest="variant", choices=VARIANTS)
+    for key in keys:
+        flag = f"--{key.replace('_', '-')}"
+        if key in _STR_KEYS:
+            g.add_argument(flag, dest=key, choices=VARIANTS)
+        else:
+            g.add_argument(flag, dest=key, type=int if key in _INT_KEYS else float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -358,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--column", type=int, default=0)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, ("window_length", "stride"))
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("graph", help="window file -> graph file (+ boundaries sidecar)")
@@ -366,13 +382,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--boundaries", help="reuse fitted boundaries instead of fitting")
     p.add_argument("--boundaries-out")
-    _add_config_flags(p)
+    _add_config_flags(p, ("n_states",))
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", help="window file -> checkpoint, loss log, eval artifacts")
     p.add_argument("--windows", required=True)
     p.add_argument("--outdir", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, _TRAIN_KEYS)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("generate", help="checkpoint + graph file -> synthetic windows")
@@ -380,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--n-per-graph", type=int, default=1)
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("eval", help="real + synthetic window files -> metrics report")
@@ -390,19 +406,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--curves-dir", help="emit mean ACF/PSD curves as CSV")
     p.add_argument("--embeddings-dir", help="emit encoder embeddings (needs --checkpoint)")
     p.add_argument("--checkpoint")
-    _add_config_flags(p)
+    _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("stats", help="window file -> tail statistics")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("ablate", help="run the variant/loss-knockout grid")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p)
+    _add_config_flags(p, _TRAIN_KEYS)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient report")
@@ -410,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-5)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--out")
-    _add_config_flags(p)
+    _add_config_flags(p, _GRADCHECK_KEYS)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("selfcheck", help="golden-value and metric-identity checks")

@@ -63,8 +63,6 @@ class DatasetSplit:
     train: np.ndarray
     eval: np.ndarray
     norm: NormStats
-    window_length: int
-    stride: int
 
 
 def load_series(path, column: int = 0) -> RawSeries:
@@ -76,24 +74,25 @@ def load_series(path, column: int = 0) -> RawSeries:
     1-based row number.
     """
     p = Path(path)
-    if not p.is_file():
-        raise FileNotFoundError(f"no such file: {p}")
     values: list[float] = []
-    with open(p, "r", encoding="utf-8") as fh:
-        for rownum, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            tokens = line.split(",") if "," in line else line.split()
-            if column >= len(tokens):
-                continue
-            try:
-                v = float(tokens[column])
-            except ValueError:
-                continue
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite value at row {rownum} of {p}")
-            values.append(v)
+    try:
+        with open(p, "r", encoding="utf-8") as fh:
+            for rownum, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                tokens = line.split(",") if "," in line else line.split()
+                if column >= len(tokens):
+                    continue
+                try:
+                    v = float(tokens[column])
+                except ValueError:
+                    continue
+                if not math.isfinite(v):
+                    raise ValueError(f"non-finite value at row {rownum} of {p}")
+                values.append(v)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{p} is not UTF-8 text ({exc.reason})") from None
     if not values:
         raise ValueError(f"no parseable rows in {p} (column {column})")
     return RawSeries(values=np.array(values), source_id=str(p))
@@ -120,12 +119,7 @@ def zscore_fit_apply(windows: np.ndarray) -> tuple[np.ndarray, NormStats]:
     return (w - mean) / std, NormStats(mean=mean, std=std)
 
 
-def split(
-    windows: np.ndarray,
-    eval_fraction: float,
-    seed: int,
-    stride: int | None = None,
-) -> DatasetSplit:
+def split(windows: np.ndarray, eval_fraction: float, seed: int) -> DatasetSplit:
     """Seeded shuffle into train/eval; z-score stats are fitted on train only.
 
     Train gets ceil((1 - eval_fraction) * N) windows, eval the remainder.
@@ -145,13 +139,7 @@ def split(
     eval_raw = w[perm[n_train:]]
     train, norm = zscore_fit_apply(train_raw)
     eval_norm = (eval_raw - norm.mean) / norm.std
-    return DatasetSplit(
-        train=train,
-        eval=eval_norm,
-        norm=norm,
-        window_length=w.shape[1],
-        stride=w.shape[1] if stride is None else stride,
-    )
+    return DatasetSplit(train=train, eval=eval_norm, norm=norm)
 
 
 def synth_generate(kind: str, n: int, window_length: int, seed: int) -> np.ndarray:

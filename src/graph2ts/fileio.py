@@ -85,11 +85,14 @@ def _write_matrix_file(path, magic: str, rows: np.ndarray) -> None:
 
 
 def _read_header(path, expected: str) -> tuple[str, list[str]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith(expected):
-            raise ValueError(f"{path}: expected header '{expected} ...', got '{header}'")
-        return header, fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            header = fh.readline().strip()
+            if not header.startswith(expected):
+                raise ValueError(f"{path}: expected header '{expected} ...', got '{header}'")
+            return header, fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _parse_rows(path, lines: list[str], width: int) -> np.ndarray:
@@ -121,7 +124,10 @@ def _parse_rows(path, lines: list[str], width: int) -> np.ndarray:
 def _header_int(header: str, key: str, path) -> int:
     for tok in header.split():
         if tok.startswith(key + "="):
-            return int(tok.split("=", 1)[1])
+            raw = tok.split("=", 1)[1]
+            if not (raw.isascii() and raw.isdigit() and int(raw) > 0):
+                raise ValueError(f"{path}: header {tok} is not a positive integer")
+            return int(raw)
     raise ValueError(f"{path}: header missing {key}=")
 
 
@@ -158,7 +164,12 @@ def read_boundaries(path) -> QuantileBoundaries:
     header, lines = _read_header(path, BOUNDS_MAGIC)
     q = _header_int(header, "Q", path)
     edges = _parse_rows(path, lines, q + 1)
-    return QuantileBoundaries(edges=edges[0], n_states=q)
+    if edges.shape[0] != 1:
+        raise ValueError(f"{path}: {edges.shape[0]} rows of edges, expected 1")
+    try:
+        return QuantileBoundaries(edges=edges[0], n_states=q)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_loss_log(path, log: list[LossBreakdown]) -> None:

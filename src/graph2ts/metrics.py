@@ -34,6 +34,7 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 TAIL_QUANTILES = (0.001, 0.999)
+COVERAGE_QUANTILES = (0.5, 0.9)  # evaluate's coverage levels
 
 
 @dataclass(frozen=True)
@@ -165,10 +166,9 @@ def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
     return curve
 
 
-def acf_mae(real, synth, max_lag: int | None = None) -> float:
-    """MAE between the mean ACF curves of the two sets (default max lag T/2)."""
-    t_len = _as_windows(real, "real").shape[1]
-    lag = t_len // 2 if max_lag is None else max_lag
+def acf_mae(real, synth) -> float:
+    """MAE between the mean ACF curves of the two sets, up to lag T // 2."""
+    lag = _as_windows(real, "real").shape[1] // 2
     return float(np.abs(acf_mean_curve(real, lag) - acf_mean_curve(synth, lag)).mean())
 
 
@@ -315,13 +315,7 @@ def variance_decomposition_check(
 # full report
 # ---------------------------------------------------------------------------
 
-def evaluate(
-    real,
-    synth,
-    seed: int = 0,
-    coverage_quantiles: tuple[float, ...] = (0.5, 0.9),
-    max_lag: int | None = None,
-) -> MetricsReport:
+def evaluate(real, synth, seed: int = 0) -> MetricsReport:
     """Score a (real, synthetic) pair, subsampling the larger set to equal counts."""
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
@@ -345,12 +339,12 @@ def evaluate(
     return MetricsReport(
         wasserstein=wasserstein1_pooled(r, s),
         ks=ks_pooled(r, s),
-        acf_mae=acf_mae(r, s, max_lag=max_lag),
+        acf_mae=acf_mae(r, s),
         psd_l2=psd_l2(r, s),
         proto_err_avg=avg,
         proto_err_med=med,
         mdr=mdr(r, s),
-        coverage={q: _coverage(d_rs, nn_r, q) for q in coverage_quantiles},
+        coverage={q: _coverage(d_rs, nn_r, q) for q in COVERAGE_QUANTILES},
         tails_real_x=tails_r[0],
         tails_real_dx=tails_r[1],
         tails_synth_x=tails_s[0],

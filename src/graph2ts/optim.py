@@ -10,6 +10,11 @@ import numpy as np
 
 __all__ = ["ParamStore", "adam_step"]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class ParamStore:
     """Named parameter tensors plus per-parameter Adam moments and a step counter."""
@@ -29,14 +34,7 @@ class ParamStore:
         return {k: v.copy() for k, v in self.params.items()}
 
 
-def adam_step(
-    store: ParamStore,
-    grads: dict[str, np.ndarray],
-    lr: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-) -> None:
+def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float) -> None:
     """One bias-corrected Adam update in place; increments the step counter once."""
     for name in store.params:
         g = grads.get(name)
@@ -48,14 +46,14 @@ def adam_step(
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
     store.step += 1
     t = store.step
-    bc1 = 1.0 - beta1 ** t
-    bc2 = 1.0 - beta2 ** t
+    bc1 = 1.0 - ADAM_BETA1 ** t
+    bc2 = 1.0 - ADAM_BETA2 ** t
     for name, p in store.params.items():
         g = grads[name]
         m = store.m[name]
         v = store.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 
 import numpy as np
@@ -44,6 +45,23 @@ class TestConfigFile:
                    "--config", p, "--window-length", "16") == 0
         assert fileio.read_windows(out).shape[1] == 16
 
+    @pytest.mark.parametrize("text, want", [
+        (b"epochs = abc\n", ":1: epochs: invalid literal for int()"),
+        (b"lr = 1e-3\nbeta_max = x\n", ":2: beta_max: could not convert string to float"),
+        (b"variant = nope\n", ": variant must be one of"),
+        (b"epochs = 0\n", ": epochs must be positive"),
+        (b"lr = nan\n", ": lr must be finite and non-negative"),
+        (b"seed = 1 \xff\n", ": not UTF-8 text"),
+    ], ids=["int", "float_line2", "variant", "epochs_0", "lr_nan", "not_utf8"])
+    def test_bad_value_names_the_file(self, tmp_path, capsys, text, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text)
+        rundir = tmp_path / "run"
+        assert run("train", "--windows", tmp_path / "w.txt", "--outdir", rundir,
+                   "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}{want}") and err.count("\n") == 1
+        assert not rundir.exists()
 
     def test_every_train_config_field_is_a_key_and_a_flag(self, tmp_path):
         changed = {"int": "3", "float": "0.5", "str": "no_graph"}
@@ -52,13 +70,80 @@ class TestConfigFile:
             cfg_file = tmp_path / f"{f.name}.cfg"
             cfg_file.write_text(f"{f.name} = {raw}\n")
             from_file = build_parser().parse_args(
-                ["stats", "--windows", "w", "--out", "o", "--config", str(cfg_file)])
+                ["train", "--windows", "w", "--outdir", "o", "--config", str(cfg_file)])
             from_flag = build_parser().parse_args(
-                ["stats", "--windows", "w", "--out", "o",
+                ["train", "--windows", "w", "--outdir", "o",
                  f"--{f.name.replace('_', '-')}", raw])
             for args in (from_file, from_flag):
                 config, _ = resolve_config(args)
                 assert str(getattr(config, f.name)) == raw, f.name
+
+    def test_each_command_takes_only_the_keys_it_reads(self):
+        train = {"--window-length", "--n-states", "--embed-dim", "--latent-dim",
+                 "--w-align", "--w-recon", "--w-dist", "--beta-max",
+                 "--kl-warmup-epochs", "--lr", "--batch-size", "--epochs", "--seed",
+                 "--variant", "--eval-fraction"}
+        expected = {
+            "ingest": {"--window-length", "--stride"},
+            "graph": {"--n-states"},
+            "train": train,
+            "ablate": train,
+            "generate": {"--seed"},
+            "eval": {"--seed"},
+            "gradcheck": {"--window-length", "--n-states", "--embed-dim", "--latent-dim",
+                          "--w-align", "--w-recon", "--w-dist", "--beta-max", "--seed",
+                          "--variant"},
+            "stats": set(),
+            "selfcheck": set(),
+        }
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert sub.choices.keys() == expected.keys()
+        total = 0
+        for name, parser in sub.choices.items():
+            group = [g for g in parser._action_groups if g.title == "config overrides"]
+            flags = {s for g in group for a in g._group_actions for s in a.option_strings}
+            takes_config = any("--config" in a.option_strings for a in parser._actions)
+            assert flags == expected[name], name
+            assert takes_config == bool(flags), name
+            total += len(flags) + takes_config
+        assert total == 52
+
+    @pytest.mark.parametrize("argv", [
+        ("stats", "--windows", "w", "--out", "o", "--seed", "1"),
+        ("stats", "--windows", "w", "--out", "o", "--lr", "5"),
+        ("generate", "--checkpoint", "c", "--graphs", "g", "--out", "o", "--epochs", "3"),
+        ("generate", "--checkpoint", "c", "--graphs", "g", "--out", "o", "--n-states", "5"),
+        ("eval", "--real", "r", "--synth", "s", "--out", "o", "--window-length", "16"),
+        ("gradcheck", "--batch-size", "8"),
+    ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+    def test_unread_flag_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+        assert "Traceback" not in err
+
+    def test_one_file_serves_every_command(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{f.name} = {f.default}\n"
+                               for f in dataclasses.fields(TrainConfig))
+                       + "eval_fraction = 0.3\nstride = 8\n")
+        required = {
+            "ingest": ("--input", "i", "--out", "o"),
+            "graph": ("--windows", "w", "--out", "o"),
+            "train": ("--windows", "w", "--outdir", "o"),
+            "ablate": ("--windows", "w", "--out", "o"),
+            "generate": ("--checkpoint", "c", "--graphs", "g", "--out", "o"),
+            "eval": ("--real", "r", "--synth", "s", "--out", "o"),
+            "gradcheck": (),
+        }
+        for command, args in required.items():
+            parsed = build_parser().parse_args([command, *args, "--config", str(cfg)])
+            config, extras = resolve_config(parsed)
+            assert config == TrainConfig(), command
+            assert extras == {"eval_fraction": 0.3, "stride": 8}, command
 
 
 class TestPipelineCommands:
@@ -159,13 +244,41 @@ class TestPipelineCommands:
         assert rc == 2  # reported as an error, not a KeyError traceback
         assert f"error: {ckpt}: parameter 'dec.b1' missing" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("row", ["1.0,nan", "1.0,abc"])
-    def test_stats_rejects_bad_value(self, tmp_path, capsys, row):
+    @pytest.mark.parametrize("text, want", [
+        pytest.param(b"T=2\n0.5,2.0\n1.5,-1.0\n1.0,nan\n", "row 4", id="1.0,nan"),
+        pytest.param(b"T=2\n0.5,2.0\n1.5,-1.0\n1.0,abc\n", "row 4", id="1.0,abc"),
+        pytest.param(b"T=x\n0.5,2.0\n", "header T=x is not a positive integer", id="T=x"),
+        pytest.param(b"T=-2\n0.5,2.0\n", "header T=-2 is not a positive integer", id="T=-2"),
+        pytest.param(b"T=2\n0.5,2.0\n\xff,1.0\n", "not UTF-8 text", id="not_utf8"),
+    ])
+    def test_stats_rejects_bad_value(self, tmp_path, capsys, text, want):
         wfile = tmp_path / "w.txt"
-        wfile.write_text(f"# graph2ts-windows v1 T=2\n0.5,2.0\n1.5,-1.0\n{row}\n")
+        wfile.write_bytes(b"# graph2ts-windows v1 " + text)
         out = tmp_path / "tails.txt"
         assert run("stats", "--windows", wfile, "--out", out) == 2
-        assert f"error: {wfile}: row 4" in capsys.readouterr().err
+        assert f"error: {wfile}: {want}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, want", [
+        ("-1.0,0.0,1.0\n-2.0,0.0,2.0\n", "2 rows of edges, expected 1"),
+        ("-1.0,1.0,1.0\n", "boundary edges must be strictly increasing"),
+    ], ids=["two_rows", "not_increasing"])
+    def test_graph_rejects_bad_boundaries(self, tmp_path, capsys, rows, want):
+        wfile, bfile = tmp_path / "w.txt", tmp_path / "b.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 30, 32, 1))
+        bfile.write_text(f"# graph2ts-boundaries v1 Q=2\n{rows}")
+        gfile = tmp_path / "g.txt"
+        assert run("graph", "--windows", wfile, "--out", gfile, "--boundaries", bfile) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {bfile}: {want}\n"
+        assert not gfile.exists()
+
+    def test_ingest_input_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "w.txt"
+        assert run("ingest", "--input", tmp_path, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Is a directory" in err and str(tmp_path) in err
         assert not out.exists()
 
     def test_ablate_grid(self, tmp_path):
@@ -236,6 +349,7 @@ class TestRejectedInputs:
         ("flat_synth", "zero variance in the values of the synth set; kurtosis undefined"),
         ("flat_real_steps", "zero variance in the first differences of the real set"),
         ("same_real", "all 20 real windows identical; mdr undefined"),
+        ("curves_dir", "need at least 2 windows in each set, got 20 real and 1 synth"),
     ])
     def test_eval_names_the_set_at_fault(self, tmp_path, capsys, case, want):
         real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
@@ -243,15 +357,18 @@ class TestRejectedInputs:
         ramp = np.arange(32.0) + np.arange(20.0)[:, None]  # every step is 1
         fileio.write_windows(real, {"flat_real_steps": ramp,
                                     "same_real": np.tile(windows[:1], (20, 1))}.get(case, windows))
-        fileio.write_windows(synth, {"one_synth": windows[:1],
+        fileio.write_windows(synth, {"one_synth": windows[:1], "curves_dir": windows[:1],
                                      "flat_synth": np.zeros((20, 32))}.get(case, windows[::-1]))
         out = tmp_path / "metrics.txt"
-        assert run("eval", "--real", real, "--synth", synth, "--out", out) == 2
+        curves = tmp_path / "curves"
+        extra = ("--curves-dir", curves) if case == "curves_dir" else ()
+        assert run("eval", "--real", real, "--synth", synth, "--out", out, *extra) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith(f"error: cannot score {synth} (synth) against {real} (real): ")
         assert want in err
         assert not out.exists()
+        assert not curves.exists()
 
     def test_eval_embeddings_checkpoint_mismatch(self, tmp_path, capsys):
         _, rundir = _train_small(tmp_path)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from graph2ts import metrics
 from graph2ts.metrics import (
     acf_mae,
     acf_mean_curve,
@@ -366,13 +367,14 @@ class TestEvaluate:
         b = evaluate(real, synth, seed=3)
         assert a == b
 
-    def test_shared_distances_match_standalone_metrics(self, rng):
+    def test_shared_distances_match_standalone_metrics(self, rng, monkeypatch):
         # evaluate computes each distance quantity once; the values must be
         # those of the standalone metric calls, bit for bit
         real = np.round(rng.standard_normal((60, 16)), 1)
         synth = np.vstack([real[::4], rng.standard_normal((45, 16))])
         qs = (0.0, 0.25, 0.5, 0.9, 1.0)
-        rep = evaluate(real, synth, coverage_quantiles=qs)
+        monkeypatch.setattr(metrics, "COVERAGE_QUANTILES", qs)
+        rep = evaluate(real, synth)
         assert (rep.proto_err_avg, rep.proto_err_med) == proto_err(real, synth)
         assert rep.mdr == mdr(real, synth)
         for q in qs:
