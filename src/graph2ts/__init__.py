@@ -16,7 +16,6 @@ from .quantile_graph import (
     QuantileBoundaries,
     discretize,
     fit_boundaries,
-    flatten_graph,
     graph_distance,
     identity_graph,
     transition_matrix,
@@ -38,7 +37,6 @@ __all__ = [
     "discretize",
     "evaluate",
     "fit_boundaries",
-    "flatten_graph",
     "graph_distance",
     "identity_graph",
     "load_series",

@@ -163,7 +163,8 @@ def _nn_dist(a: np.ndarray, b: np.ndarray, exclude_self: bool) -> np.ndarray:
             keep = ii + lo != jj
             ii, jj = ii[keep], jj[keep]
         best = np.full(hi - lo, np.inf)
-        np.minimum.at(best, ii, _exact_sq_dist(a, b, ii + lo, jj))
+        with np.errstate(invalid="ignore"):  # a NaN row's distance is NaN, not a warning
+            np.minimum.at(best, ii, _exact_sq_dist(a, b, ii + lo, jj))
         out[lo:hi] = np.sqrt(best)
     return out
 

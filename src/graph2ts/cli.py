@@ -2,11 +2,11 @@
 
 Configuration precedence is defaults < config file < command-line flags.
 Each subcommand takes `--config` and a flag only for the config keys it
-reads; `stats` and `selfcheck` read none and take neither. The config file
-holds `key = value` lines (# comments allowed). One file serves the whole
-chain, so it may hold any key of the schema: keys a command does not read are
-ignored, and unknown keys are rejected. Log verbosity comes from the
-GRAPH2TS_LOG_LEVEL environment variable.
+reads; `stats` reads none and takes neither. The config file holds
+`key = value` lines (# comments allowed). One file serves the whole chain, so
+it may hold any key of the schema: keys a command does not read are ignored,
+and unknown keys are rejected. Log verbosity comes from the GRAPH2TS_LOG_LEVEL
+environment variable.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import dataclasses
 import logging
 import os
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -31,28 +32,17 @@ from .model import (
     objective_value,
     train,
 )
-from .quantile_graph import (
-    fit_boundaries,
-    transition_matrix,
-    windows_to_graphs,
-)
+from .quantile_graph import fit_boundaries, windows_to_graphs
 
 logger = logging.getLogger(__name__)
 
 
-def _config_keys(type_name: str) -> set[str]:
-    # model.py postpones annotations, so each field's type is its annotation string
-    return {f.name for f in dataclasses.fields(TrainConfig) if f.type == type_name}
-
-
-_INT_KEYS = _config_keys("int") | {"stride"}
-_FLOAT_KEYS = _config_keys("float") | {"eval_fraction"}
-_STR_KEYS = _config_keys("str")
-_ALL_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
+# the config schema: every key a file or a flag may set, and the type it parses to
+_SCHEMA = {**typing.get_type_hints(TrainConfig), "stride": int, "eval_fraction": float}
 
 _EXTRA_DEFAULTS = {"eval_fraction": 0.2, "stride": None}
 
-_TRAIN_KEYS = tuple(f.name for f in dataclasses.fields(TrainConfig)) + ("eval_fraction",)
+_TRAIN_KEYS = tuple(k for k in _SCHEMA if k != "stride")
 _GRADCHECK_KEYS = ("window_length", "n_states", "embed_dim", "latent_dim",
                    "w_align", "w_recon", "w_dist", "beta_max", "seed", "variant")
 
@@ -62,18 +52,10 @@ ABLATION_MAGIC = "# graph2ts-ablation v1"
 GRADCHECK_MAGIC = "# graph2ts-gradcheck v1"
 
 
-def _coerce(key: str, raw: str):
-    if key in _INT_KEYS:
-        return int(raw)
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    return raw
-
-
 def load_config_file(path) -> dict:
     """Parse `key = value` lines. Text that is not UTF-8, a key outside the
-    schema, a value that does not parse, or a value TrainConfig rejects is an
-    error that names the file."""
+    schema, a value that does not parse, or a value that TrainConfig or the
+    dataset rules reject is an error that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -87,14 +69,18 @@ def load_config_file(path) -> dict:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, raw = (s.strip() for s in line.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _SCHEMA:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
         try:
-            out[key] = _coerce(key, raw)
+            out[key] = _SCHEMA[key](raw)
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {key}: {exc}") from None
     try:
-        TrainConfig(**{k: v for k, v in out.items() if k not in _EXTRA_DEFAULTS})
+        config = TrainConfig(**{k: v for k, v in out.items() if k not in _EXTRA_DEFAULTS})
+        if "stride" in out:
+            dataset.check_windowing(config.window_length, out["stride"])
+        if "eval_fraction" in out:
+            dataset.check_eval_fraction(out["eval_fraction"])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     return out
@@ -106,7 +92,7 @@ def resolve_config(args) -> tuple[TrainConfig, dict]:
     merged.update(_EXTRA_DEFAULTS)
     if args.config:
         merged.update(load_config_file(args.config))
-    for key in _ALL_KEYS:
+    for key in _SCHEMA:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
@@ -145,13 +131,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
-    config, extras = resolve_config(args)
+def _read_training_windows(args, config: TrainConfig) -> np.ndarray:
+    """The ``--windows`` file of ``train`` or ``ablate``, whose length must match the config."""
     windows = fileio.read_windows(args.windows)
     if windows.shape[1] != config.window_length:
         raise ValueError(f"{args.windows} holds windows of length T={windows.shape[1]}, but "
                          f"{args.config or 'the configuration'} sets "
                          f"window_length={config.window_length}")
+    return windows
+
+
+def cmd_train(args) -> int:
+    config, extras = resolve_config(args)
+    windows = _read_training_windows(args, config)
     data = dataset.split(windows, extras["eval_fraction"], config.seed)
     model, log = train(config, data)
     outdir = Path(args.outdir)
@@ -249,7 +241,7 @@ def _ablation_config(base: TrainConfig, label: str) -> TrainConfig:
 
 def cmd_ablate(args) -> int:
     config, extras = resolve_config(args)
-    windows = fileio.read_windows(args.windows)
+    windows = _read_training_windows(args, config)
     data = dataset.split(windows, extras["eval_fraction"], config.seed)
     columns = [
         "config", "wasserstein", "ks", "acf_mae", "psd_l2",
@@ -316,37 +308,6 @@ def cmd_gradcheck(args) -> int:
     return 0 if status == "PASS" else 1
 
 
-def cmd_selfcheck(args) -> int:
-    ok = True
-
-    # golden transition-graph example: the 3-state sequence and its six
-    # labeled edge probabilities, exact as rationals
-    states = np.array([1, 2, 3, 3, 2, 1, 1, 2, 3])
-    p = transition_matrix(states, 3)
-    expected = np.array([
-        [1 / 3, 2 / 3, 0.0],
-        [1 / 3, 0.0, 2 / 3],
-        [0.0, 1 / 2, 1 / 2],
-    ])
-    fig1_ok = np.array_equal(p, expected)
-    print(f"fig1: {'PASS' if fig1_ok else 'FAIL'}")
-    ok &= fig1_ok
-
-    ident_ok = True
-    for seed in range(3):
-        s = np.random.default_rng(seed).standard_normal((24, 16))
-        ident_ok &= metrics.wasserstein1_pooled(s, s) == 0.0
-        ident_ok &= metrics.ks_pooled(s, s) == 0.0
-        ident_ok &= metrics.acf_mae(s, s) == 0.0
-        ident_ok &= metrics.psd_l2(s, s) == 0.0
-        ident_ok &= metrics.proto_err(s, s) == (0.0, 0.0)
-        ident_ok &= metrics.mdr(s, s) == 0.0
-        ident_ok &= metrics.coverage(s, s, 0.5) == 1.0
-    print(f"metric_identities: {'PASS' if ident_ok else 'FAIL'}")
-    ok &= ident_ok
-    return 0 if ok else 1
-
-
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
@@ -356,11 +317,8 @@ def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     p.add_argument("--config", help="key = value config file")
     g = p.add_argument_group("config overrides")
     for key in keys:
-        flag = f"--{key.replace('_', '-')}"
-        if key in _STR_KEYS:
-            g.add_argument(flag, dest=key, choices=VARIANTS)
-        else:
-            g.add_argument(flag, dest=key, type=int if key in _INT_KEYS else float)
+        g.add_argument(f"--{key.replace('_', '-')}", dest=key, type=_SCHEMA[key],
+                       choices=VARIANTS if key == "variant" else None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -427,9 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     _add_config_flags(p, _GRADCHECK_KEYS)
     p.set_defaults(func=cmd_gradcheck)
-
-    p = sub.add_parser("selfcheck", help="golden-value and metric-identity checks")
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 

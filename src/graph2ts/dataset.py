@@ -18,6 +18,8 @@ __all__ = [
     "DatasetSplit",
     "load_series",
     "make_windows",
+    "check_windowing",
+    "check_eval_fraction",
     "zscore_fit_apply",
     "split",
     "synth_generate",
@@ -98,10 +100,14 @@ def load_series(path, column: int = 0) -> RawSeries:
     return RawSeries(values=np.array(values), source_id=str(p))
 
 
-def make_windows(series: RawSeries, window_length: int, stride: int) -> np.ndarray:
-    """Fixed-length windows at offsets 0, stride, 2*stride, ...; trailing partial dropped."""
+def check_windowing(window_length: int, stride: int) -> None:
     if window_length < 1 or stride < 1:
         raise ValueError("window_length and stride must be positive")
+
+
+def make_windows(series: RawSeries, window_length: int, stride: int) -> np.ndarray:
+    """Fixed-length windows at offsets 0, stride, 2*stride, ...; trailing partial dropped."""
+    check_windowing(window_length, stride)
     v = series.values
     if v.size < window_length:
         raise ValueError(f"series length {v.size} shorter than window length {window_length}")
@@ -119,6 +125,11 @@ def zscore_fit_apply(windows: np.ndarray) -> tuple[np.ndarray, NormStats]:
     return (w - mean) / std, NormStats(mean=mean, std=std)
 
 
+def check_eval_fraction(eval_fraction: float) -> None:
+    if not 0.0 < eval_fraction < 1.0:
+        raise ValueError("eval_fraction must be in (0, 1)")
+
+
 def split(windows: np.ndarray, eval_fraction: float, seed: int) -> DatasetSplit:
     """Seeded shuffle into train/eval; z-score stats are fitted on train only.
 
@@ -128,8 +139,7 @@ def split(windows: np.ndarray, eval_fraction: float, seed: int) -> DatasetSplit:
     """
     w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     n = w.shape[0]
-    if not 0.0 < eval_fraction < 1.0:
-        raise ValueError("eval_fraction must be in (0, 1)")
+    check_eval_fraction(eval_fraction)
     n_train = int(math.ceil((1.0 - eval_fraction) * n - 1e-9))
     n_eval = n - n_train
     if n_train < 1 or n_eval < 1:

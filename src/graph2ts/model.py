@@ -364,11 +364,6 @@ class Graph2TS:
         p = self._leaves(tape)
         return encode_ts(p, tape.leaf(x)).value
 
-    def graph_embeddings(self, graphs: np.ndarray) -> np.ndarray:
-        tape = Tape(record=False)
-        p = self._leaves(tape)
-        return encode_graph(p, tape.leaf(self._conditioning(graphs))).value
-
     def _conditioning(self, graphs: np.ndarray) -> np.ndarray:
         g = np.atleast_2d(np.asarray(graphs, dtype=np.float64))
         if g.shape[1] != self.config.graph_dim:

@@ -20,7 +20,6 @@ __all__ = [
     "discretize",
     "transition_matrix",
     "windows_to_graphs",
-    "flatten_graph",
     "reshape_graph",
     "identity_graph",
     "graph_distance",
@@ -109,14 +108,6 @@ def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.nda
     w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     q = bounds.n_states
     return _transition_probs(discretize(w, bounds), q).reshape(w.shape[0], q * q)
-
-
-def flatten_graph(graph: np.ndarray) -> np.ndarray:
-    """Row-major flattening; inverse of reshape_graph."""
-    p = np.asarray(graph, dtype=np.float64)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise ValueError("graph must be a square matrix")
-    return p.reshape(-1).copy()
 
 
 def reshape_graph(flat: np.ndarray, n_states: int) -> np.ndarray:

@@ -1,6 +1,7 @@
 """The distance and counting kernels against brute-force references, bit for bit."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -266,11 +267,13 @@ def test_argmin_candidates_match_brute(sets, monkeypatch, case, rows):
 
 
 def test_nan_row_gives_nan(sets):
-    a, b = candidate_case(sets, "nan_a")
-    assert np.isnan(acc.min_dist_to_set(a, b)[4])
-    assert np.isnan(acc.nn_dist_excl_self(a)).all()  # every row is NaN away from row 4
-    a, b = candidate_case(sets, "nan_b")
-    assert np.isnan(acc.min_dist_to_set(a, b)).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # NaN is the result, not a warning
+        a, b = candidate_case(sets, "nan_a")
+        assert np.isnan(acc.min_dist_to_set(a, b)[4])
+        assert np.isnan(acc.nn_dist_excl_self(a)).all()  # every row is NaN away from row 4
+        a, b = candidate_case(sets, "nan_b")
+        assert np.isnan(acc.min_dist_to_set(a, b)).all()
 
 
 @pytest.mark.parametrize("rows", [1, 7, 50])

@@ -12,18 +12,10 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from graph2ts import cli, metrics
-from graph2ts.autodiff import grad_check
 from graph2ts.dataset import split, synth_generate
-from graph2ts.model import (
-    TrainConfig,
-    batch_objective,
-    init_params,
-    objective_value,
-    train,
-)
+from graph2ts.model import TrainConfig, train
 from graph2ts.quantile_graph import (
     discretize,
-    fit_boundaries,
     graph_distance,
     reshape_graph,
     transition_matrix,
@@ -94,25 +86,16 @@ def test_criterion_1_golden_graph():
 # 2. full-objective gradient vs central finite differences
 # ---------------------------------------------------------------------------
 
-def test_criterion_2_gradient_correctness():
-    cfg = TrainConfig(seed=11)  # default widths: T=32, Q=10, d_z=32, embed 128
-    rng = np.random.default_rng(11)
-    raw = synth_generate("sine_mix", 4, cfg.window_length, 11)
-    x = (raw - raw.mean()) / raw.std()
-    graphs = windows_to_graphs(x, fit_boundaries(x.ravel(), cfg.n_states))
-    params = init_params(cfg, rng)
-    eps = rng.standard_normal((4, cfg.latent_dim))
-    beta = cfg.beta_max
-
-    def taped(leaves):
-        return batch_objective(leaves, x, graphs, eps, cfg, beta)[0]
-
-    def plain(arrs):
-        return objective_value(arrs, x, graphs, eps, cfg, beta)
-
-    worst = grad_check(taped, params, h=1e-5, value_fn=plain)
-    ok = worst <= 1e-4
-    _report(2, "gradient correctness", ok, f"max_rel_err={worst:.3e}")
+def test_criterion_2_gradient_correctness(tmp_path):
+    # the gradcheck command at default widths (T=32, Q=10, d_z=32, embed 128)
+    report = tmp_path / "gradcheck.txt"
+    rc = cli.main(["gradcheck", "--seed", "11", "--h", "1e-5", "--tolerance", "1e-4",
+                   "--out", str(report)])
+    fields = dict(line.split("=", 1) for line in report.read_text().splitlines()[1:])
+    worst = float(fields["max_rel_err"])
+    ok = rc == 0 and fields["status"] == "PASS" and worst <= 1e-4
+    _report(2, "gradient correctness", ok,
+            f"max_rel_err={worst:.3e} over {fields['coordinates']} coordinates")
     assert ok
 
 

@@ -52,7 +52,10 @@ class TestConfigFile:
         (b"epochs = 0\n", ": epochs must be positive"),
         (b"lr = nan\n", ": lr must be finite and non-negative"),
         (b"seed = 1 \xff\n", ": not UTF-8 text"),
-    ], ids=["int", "float_line2", "variant", "epochs_0", "lr_nan", "not_utf8"])
+        (b"eval_fraction = 2\n", ": eval_fraction must be in (0, 1)"),
+        (b"stride = 0\n", ": window_length and stride must be positive"),
+    ], ids=["int", "float_line2", "variant", "epochs_0", "lr_nan", "not_utf8",
+            "eval_fraction_2", "stride_0"])
     def test_bad_value_names_the_file(self, tmp_path, capsys, text, want):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(text)
@@ -64,19 +67,23 @@ class TestConfigFile:
         assert not rundir.exists()
 
     def test_every_train_config_field_is_a_key_and_a_flag(self, tmp_path):
-        changed = {"int": "3", "float": "0.5", "str": "no_graph"}
-        for f in dataclasses.fields(TrainConfig):
-            raw = changed[f.type]
-            cfg_file = tmp_path / f"{f.name}.cfg"
-            cfg_file.write_text(f"{f.name} = {raw}\n")
-            from_file = build_parser().parse_args(
-                ["train", "--windows", "w", "--outdir", "o", "--config", str(cfg_file)])
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert cli._SCHEMA.keys() == fields | {"stride", "eval_fraction"}
+        changed = {int: "3", float: "0.5", str: "no_graph"}
+        for key, kind in cli._SCHEMA.items():
+            raw = changed[kind]
+            cfg_file = tmp_path / f"{key}.cfg"
+            cfg_file.write_text(f"{key} = {raw}\n")
+            required = (["ingest", "--input", "i", "--out", "o"] if key == "stride"
+                        else ["train", "--windows", "w", "--outdir", "o"])
+            from_file = build_parser().parse_args(required + ["--config", str(cfg_file)])
             from_flag = build_parser().parse_args(
-                ["train", "--windows", "w", "--outdir", "o",
-                 f"--{f.name.replace('_', '-')}", raw])
-            for args in (from_file, from_flag):
-                config, _ = resolve_config(args)
-                assert str(getattr(config, f.name)) == raw, f.name
+                required + [f"--{key.replace('_', '-')}", raw])
+            resolved = [resolve_config(args) for args in (from_file, from_flag)]
+            assert resolved[0] == resolved[1], key
+            config, extras = resolved[0]
+            value = extras[key] if key in extras else getattr(config, key)
+            assert str(value) == raw, key
 
     def test_each_command_takes_only_the_keys_it_reads(self):
         train = {"--window-length", "--n-states", "--embed-dim", "--latent-dim",
@@ -94,11 +101,10 @@ class TestConfigFile:
                           "--w-align", "--w-recon", "--w-dist", "--beta-max", "--seed",
                           "--variant"},
             "stats": set(),
-            "selfcheck": set(),
         }
         sub = next(a for a in build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
-        assert sub.choices.keys() == expected.keys()
+        assert sub.choices.keys() == expected.keys() and len(expected) == 8
         total = 0
         for name, parser in sub.choices.items():
             group = [g for g in parser._action_groups if g.title == "config overrides"]
@@ -400,6 +406,16 @@ class TestRejectedInputs:
         assert (str(cfg) in err) == with_file
         assert not rundir.exists()
 
+    def test_ablate_window_length_mismatch(self, tmp_path, capsys):
+        wfile = tmp_path / "w.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 40, 32, 5))
+        out = tmp_path / "ablation.csv"
+        assert run("ablate", "--windows", wfile, "--out", out, "--window-length", "16") == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {wfile} holds windows of length T=32, but the configuration "
+                       "sets window_length=16\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--curves-dir", "--embeddings-dir"])
     def test_eval_output_dir_is_a_file(self, tmp_path, capsys, flag):
         _, rundir = _train_small(tmp_path)
@@ -418,12 +434,6 @@ class TestRejectedInputs:
 
 
 class TestChecks:
-    def test_selfcheck(self, capsys):
-        assert run("selfcheck") == 0
-        out = capsys.readouterr().out
-        assert "fig1: PASS" in out
-        assert "metric_identities: PASS" in out
-
     def test_gradcheck_small(self, tmp_path, capsys):
         report = tmp_path / "gc.txt"
         rc = run("gradcheck", "--embed-dim", "6", "--latent-dim", "2",

@@ -381,11 +381,11 @@ class TestNoGraphVariant:
         model, _ = train(cfg, data)
         # conditioning is the identity graph regardless of the input graphs
         real_graphs = windows_to_graphs(data.eval, model.boundaries)
-        emb = model.graph_embeddings(real_graphs)
-        assert np.array_equal(emb[0], emb[-1])
-        # same z on identical conditioning rows decodes identically
         tape = Tape(record=False)
         p = {k: tape.leaf(v) for k, v in model.params.items()}
+        emb = encode_graph(p, tape.leaf(model._conditioning(real_graphs))).value
+        assert np.array_equal(emb[0], emb[-1])
+        # same z on identical conditioning rows decodes identically
         g_raw = encode_graph(p, tape.leaf(np.tile(
             identity_graph(cfg.n_states).reshape(1, -1), (4, 1))))
         z = np.random.default_rng(0).standard_normal((1, cfg.latent_dim))
@@ -481,7 +481,7 @@ class TestGenerate:
         with pytest.raises(ValueError, match="graphs row 2"):
             model.generate(g, n_per_graph=3, seed=0)
         with pytest.raises(ValueError, match="graphs row 2"):
-            model.graph_embeddings(g)
+            model._conditioning(g)
         w = np.zeros((3, model.config.window_length))
         w[1, 0] = np.inf
         with pytest.raises(ValueError, match="windows row 1"):

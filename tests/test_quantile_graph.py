@@ -5,7 +5,6 @@ from graph2ts.quantile_graph import (
     QuantileBoundaries,
     discretize,
     fit_boundaries,
-    flatten_graph,
     graph_distance,
     identity_graph,
     reshape_graph,
@@ -107,22 +106,14 @@ class TestTransitionMatrix:
 
 
 class TestFlattenAndIdentity:
-    def test_flatten_identity(self):
-        assert np.array_equal(flatten_graph(np.eye(2)), [1, 0, 0, 1])
-
-    def test_worked_example_flat(self):
-        flat = flatten_graph(EXAMPLE_MATRIX)
-        assert flat.shape == (9,)
-        assert flat[1] == 2 / 3 and flat[5] == 2 / 3 and flat[8] == 1 / 2
-
     def test_roundtrip(self, rng):
         p = rng.random((6, 6))
-        assert np.array_equal(reshape_graph(flatten_graph(p), 6), p)
+        assert np.array_equal(reshape_graph(p.ravel(), 6), p)
 
     def test_identity_graph(self):
         g = identity_graph(3)
         assert np.array_equal(g, np.eye(3))
-        assert flatten_graph(identity_graph(10)).sum() == 10
+        assert identity_graph(10).sum() == 10
         assert (identity_graph(10).sum(axis=1) == 1).all()
 
 
