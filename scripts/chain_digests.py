@@ -8,6 +8,7 @@ corpus (a sine_mix and a heavy_tail series made from fixed seeds):
            -> generate (--n-per-graph 1, 7 and 40) -> stats -> eval
               (with curves and embeddings, on the 7-per-graph windows)
            -> eval (all 3000 windows against the 40-per-graph windows)
+           -> ablate (the seven-configuration grid at the TRAIN settings)
 
 The 900 eval graphs decode in 1, 2 and 9 blocks at the three ``--n-per-graph``
 values, so the digests cover one block, a few blocks and many blocks. The
@@ -87,6 +88,7 @@ def _chain(root: Path, kind: str, seed: int) -> None:
              "--embeddings-dir", run / "embeddings", "--checkpoint", ckpt)
         _run("eval", "--real", root / "windows.txt", "--synth", run / "synth_n40.txt",
              "--out", run / "metrics_n40.txt")
+    _run("ablate", "--windows", root / "windows.txt", "--out", root / "ablation.csv", *TRAIN)
     _check_config_twin(root)
 
 

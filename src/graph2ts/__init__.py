@@ -3,7 +3,6 @@
 from .dataset import (
     DatasetSplit,
     NormStats,
-    RawSeries,
     load_series,
     make_windows,
     split,
@@ -31,7 +30,6 @@ __all__ = [
     "MetricsReport",
     "NormStats",
     "QuantileBoundaries",
-    "RawSeries",
     "TailStats",
     "TrainConfig",
     "discretize",

@@ -325,6 +325,8 @@ def weighted_sum(terms: list[Var], weights: list[float]) -> Var:
 # finite-difference checking
 # ---------------------------------------------------------------------------
 
+GRADCHECK_STEP = 1e-5
+GRADCHECK_TOLERANCE = 1e-4
 GRADCHECK_DENOM_FLOOR = 1e-3
 GRADCHECK_REFINE_STEPS = 3
 
@@ -332,15 +334,16 @@ GRADCHECK_REFINE_STEPS = 3
 def grad_check(
     f: Callable[[dict[str, Var]], Var],
     params: dict[str, np.ndarray],
-    h: float = 1e-5,
     value_fn: Callable[[dict[str, np.ndarray]], float] | None = None,
 ) -> float:
     """Max per-coordinate relative error of tape gradients vs central differences.
 
-    ``f`` builds a scalar computation from a dict of leaves. The relative
-    error is |analytic - fd| / max(|analytic|, |fd|, GRADCHECK_DENOM_FLOOR);
-    the floor keeps coordinates whose true gradient sits below the
-    finite-difference noise level from dominating the report.
+    ``f`` builds a scalar computation from a dict of leaves. Every probe
+    starts at step ``GRADCHECK_STEP``, and callers pass the result when it is
+    at most ``GRADCHECK_TOLERANCE``. The relative error is
+    |analytic - fd| / max(|analytic|, |fd|, GRADCHECK_DENOM_FLOOR); the floor
+    keeps coordinates whose true gradient sits below the finite-difference
+    noise level from dominating the report.
 
     ``value_fn``, when given, evaluates the same scalar directly from plain
     arrays and is used for the finite-difference probes. Supplying an
@@ -348,13 +351,14 @@ def grad_check(
     tape and makes full-parameter sweeps far cheaper.
 
     A probe that straddles a nondifferentiable point (ReLU kink, sort tie
-    within h of the evaluation point) reports the average of two one-sided
-    slopes, not the subgradient the tape computes. Offending coordinates are
-    retried at shrinking step sizes up to ``GRADCHECK_REFINE_STEPS`` times and
-    the best agreement kept: a kink straddle resolves as the step stops
-    crossing it, a genuine gradient bug stays wrong at every step size.
+    within one step of the evaluation point) reports the average of two
+    one-sided slopes, not the subgradient the tape computes. Offending
+    coordinates are retried at shrinking step sizes up to
+    ``GRADCHECK_REFINE_STEPS`` times and the best agreement kept: a kink
+    straddle resolves as the step stops crossing it, a genuine gradient bug
+    stays wrong at every step size.
 
-    A coordinate whose relative error at step ``h`` is NaN ends the check
+    A coordinate whose relative error at the first step is NaN ends the check
     with NaN as the result, which no tolerance passes.
     """
     tape = Tape()
@@ -391,10 +395,10 @@ def grad_check(
         flat = arr.reshape(-1)
         a_flat = analytic[name].reshape(-1)
         for i in range(flat.size):
-            rel = rel_at(flat, i, a_flat[i], h)
+            rel = rel_at(flat, i, a_flat[i], GRADCHECK_STEP)
             if np.isnan(rel):
                 return rel  # a NaN probe fails the check; `rel > worst` would drop it
-            step = h
+            step = GRADCHECK_STEP
             for _ in range(GRADCHECK_REFINE_STEPS):
                 if rel <= worst:
                     break

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import logging
 import os
 import sys
@@ -22,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dataset, fileio, metrics
-from .autodiff import grad_check
+from .autodiff import GRADCHECK_STEP, GRADCHECK_TOLERANCE, grad_check
 from .model import (
     VARIANTS,
     TrainConfig,
@@ -48,8 +49,7 @@ _GRADCHECK_KEYS = ("window_length", "n_states", "embed_dim", "latent_dim",
 
 ABLATION_GRID = VARIANTS + ("w_recon=0", "w_align=0", "w_dist=0", "beta_max=0")
 
-ABLATION_MAGIC = "# graph2ts-ablation v1"
-GRADCHECK_MAGIC = "# graph2ts-gradcheck v1"
+GRADCHECK_BATCH = 4  # windows in the gradient check's objective
 
 
 def load_config_file(path) -> dict:
@@ -243,37 +243,23 @@ def cmd_ablate(args) -> int:
     config, extras = resolve_config(args)
     windows = _read_training_windows(args, config)
     data = dataset.split(windows, extras["eval_fraction"], config.seed)
-    columns = [
-        "config", "wasserstein", "ks", "acf_mae", "psd_l2",
-        "proto_err_avg", "proto_err_med", "mdr", "coverage_0.5", "coverage_0.9",
-    ]
-    rows = []
+    results = []
     for label in ABLATION_GRID:
         run_cfg = _ablation_config(config, label)
         model, _ = train(run_cfg, data)
         eval_graphs = windows_to_graphs(data.eval, model.boundaries)
         synth = model.generate(eval_graphs, n_per_graph=1, seed=run_cfg.seed)
-        report = metrics.evaluate(data.eval, synth, seed=run_cfg.seed)
-        rep = dict(report.as_items())
-        rows.append([label] + [rep[c] for c in columns[1:]])
+        results.append((label, metrics.evaluate(data.eval, synth, seed=run_cfg.seed)))
         logger.info("ablate: %s done", label)
-    with fileio.atomic_open(args.out) as fh:
-        fh.write(ABLATION_MAGIC + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(row[0] + "," + ",".join(repr(float(v)) for v in row[1:]) + "\n")
-    print(f"ablate: {len(rows)} configs -> {args.out}")
+    fileio.write_ablation(args.out, results)
+    print(f"ablate: {len(results)} configs -> {args.out}")
     return 0
 
 
 def cmd_gradcheck(args) -> int:
-    if not (np.isfinite(args.h) and args.h > 0):
-        raise ValueError(f"--h must be finite and > 0, got {args.h!r}")
-    if not (np.isfinite(args.tolerance) and args.tolerance >= 0):
-        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
     config, _ = resolve_config(args)
     rng = np.random.default_rng(config.seed)
-    raw = dataset.synth_generate("sine_mix", args.batch, config.window_length,
+    raw = dataset.synth_generate("sine_mix", GRADCHECK_BATCH, config.window_length,
                                  config.seed)
     x, _ = dataset.zscore_fit_apply(raw)
     bounds = fit_boundaries(x.ravel(), config.n_states)
@@ -284,7 +270,7 @@ def cmd_gradcheck(args) -> int:
     params = {k: v + 0.05 * rng.standard_normal(v.shape) for k, v in params.items()}
     eps = None
     if config.variant != "deterministic":
-        eps = rng.standard_normal((args.batch, config.latent_dim))
+        eps = rng.standard_normal((GRADCHECK_BATCH, config.latent_dim))
 
     def objective(leaves):
         return batch_objective(leaves, x, graphs, eps, config, config.beta_max)[0]
@@ -292,18 +278,11 @@ def cmd_gradcheck(args) -> int:
     def plain_value(arrs):
         return objective_value(arrs, x, graphs, eps, config, config.beta_max)
 
-    worst = grad_check(objective, params, h=args.h, value_fn=plain_value)
-    status = "PASS" if worst <= args.tolerance else "FAIL"
+    worst = grad_check(objective, params, value_fn=plain_value)
+    status = "PASS" if worst <= GRADCHECK_TOLERANCE else "FAIL"
     n_coords = sum(p.size for p in params.values())
     if args.out:
-        with fileio.atomic_open(args.out) as fh:
-            fh.write(GRADCHECK_MAGIC + "\n")
-            fh.write(f"batch={args.batch}\n")
-            fh.write(f"h={repr(args.h)}\n")
-            fh.write(f"coordinates={n_coords}\n")
-            fh.write(f"max_rel_err={repr(worst)}\n")
-            fh.write(f"tolerance={repr(args.tolerance)}\n")
-            fh.write(f"status={status}\n")
+        fileio.write_gradcheck_report(args.out, GRADCHECK_BATCH, n_coords, worst, status)
     print(f"gradcheck: max_rel_err={worst:.3e} over {n_coords} coordinates: {status}")
     return 0 if status == "PASS" else 1
 
@@ -327,15 +306,18 @@ def build_parser() -> argparse.ArgumentParser:
         description="Quantile-graph conditioned time-series generation pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # whole flag names only: a mistyped or retired flag is a usage error, never
+    # the prefix of another (`gradcheck --h` would otherwise run as `--help`)
+    add = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("ingest", help="numeric text file -> window file")
+    p = add("ingest", help="numeric text file -> window file")
     p.add_argument("--input", required=True)
     p.add_argument("--column", type=int, default=0)
     p.add_argument("--out", required=True)
     _add_config_flags(p, ("window_length", "stride"))
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("graph", help="window file -> graph file (+ boundaries sidecar)")
+    p = add("graph", help="window file -> graph file (+ boundaries sidecar)")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--boundaries", help="reuse fitted boundaries instead of fitting")
@@ -343,13 +325,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ("n_states",))
     p.set_defaults(func=cmd_graph)
 
-    p = sub.add_parser("train", help="window file -> checkpoint, loss log, eval artifacts")
+    p = add("train", help="window file -> checkpoint, loss log, eval artifacts")
     p.add_argument("--windows", required=True)
     p.add_argument("--outdir", required=True)
     _add_config_flags(p, _TRAIN_KEYS)
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("generate", help="checkpoint + graph file -> synthetic windows")
+    p = add("generate", help="checkpoint + graph file -> synthetic windows")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--graphs", required=True)
     p.add_argument("--out", required=True)
@@ -357,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("eval", help="real + synthetic window files -> metrics report")
+    p = add("eval", help="real + synthetic window files -> metrics report")
     p.add_argument("--real", required=True)
     p.add_argument("--synth", required=True)
     p.add_argument("--out", required=True)
@@ -367,21 +349,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("stats", help="window file -> tail statistics")
+    p = add("stats", help="window file -> tail statistics")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("ablate", help="run the variant/loss-knockout grid")
+    p = add("ablate", help="run the variant/loss-knockout grid")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
     _add_config_flags(p, _TRAIN_KEYS)
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient report")
-    p.add_argument("--batch", type=int, default=4)
-    p.add_argument("--h", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p = add("gradcheck", help=f"finite-difference gradient report (batch {GRADCHECK_BATCH}, "
+                              f"step {GRADCHECK_STEP:g}, bound {GRADCHECK_TOLERANCE:g})")
     p.add_argument("--out")
     _add_config_flags(p, _GRADCHECK_KEYS)
     p.set_defaults(func=cmd_gradcheck)

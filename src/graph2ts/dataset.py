@@ -1,7 +1,7 @@
 """Raw series ingestion, windowing, normalization, splits, and synthetic corpora.
 
-Window sets are plain (N, T) float64 arrays throughout the package; one row
-is one fixed-length window.
+A raw series is a plain 1-D float64 array, and window sets are plain (N, T)
+float64 arrays throughout the package; one row is one fixed-length window.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
-    "RawSeries",
     "NormStats",
     "DatasetSplit",
     "load_series",
@@ -37,20 +36,6 @@ _SINE_AMP_HI = 1.3
 
 
 @dataclass(frozen=True)
-class RawSeries:
-    values: np.ndarray
-    source_id: str
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("series must be a non-empty 1-D array")
-        if not np.isfinite(v).all():
-            raise ValueError("series contains non-finite values")
-
-
-@dataclass(frozen=True)
 class NormStats:
     mean: float
     std: float
@@ -67,14 +52,17 @@ class DatasetSplit:
     norm: NormStats
 
 
-def load_series(path, column: int = 0) -> RawSeries:
-    """Read one numeric column from a delimited text file.
+def load_series(path, column: int = 0) -> np.ndarray:
+    """Read one numeric column (0-based, so ``column`` >= 0) from a delimited
+    text file as a 1-D float64 array.
 
     The delimiter is auto-detected per line (comma, else whitespace). Rows
     whose designated column does not parse as a number are skipped (headers);
     rows that parse to a non-finite value are an error, reported with their
     1-based row number.
     """
+    if column < 0:
+        raise ValueError(f"column must be >= 0, got {column}")
     p = Path(path)
     values: list[float] = []
     try:
@@ -97,7 +85,7 @@ def load_series(path, column: int = 0) -> RawSeries:
         raise ValueError(f"{p} is not UTF-8 text ({exc.reason})") from None
     if not values:
         raise ValueError(f"no parseable rows in {p} (column {column})")
-    return RawSeries(values=np.array(values), source_id=str(p))
+    return np.array(values)
 
 
 def check_windowing(window_length: int, stride: int) -> None:
@@ -105,10 +93,14 @@ def check_windowing(window_length: int, stride: int) -> None:
         raise ValueError("window_length and stride must be positive")
 
 
-def make_windows(series: RawSeries, window_length: int, stride: int) -> np.ndarray:
+def make_windows(series: np.ndarray, window_length: int, stride: int) -> np.ndarray:
     """Fixed-length windows at offsets 0, stride, 2*stride, ...; trailing partial dropped."""
     check_windowing(window_length, stride)
-    v = series.values
+    v = np.asarray(series, dtype=np.float64)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError("series must be a non-empty 1-D array")
+    if not np.isfinite(v).all():
+        raise ValueError("series contains non-finite values")
     if v.size < window_length:
         raise ValueError(f"series length {v.size} shorter than window length {window_length}")
     offsets = range(0, v.size - window_length + 1, stride)

@@ -1,12 +1,15 @@
 """Versioned on-disk formats for every pipeline artifact.
 
-Text artifacts start with a `# graph2ts-<kind> v1 ...` header line and hold
-comma-separated values; floats are written with repr so re-reading is exact
-and runs with identical seeds produce byte-identical files. The checkpoint is
-a little-endian binary container of named 2-D float64 arrays preceded by a
-JSON echo of the training config. Every writer goes through ``atomic_open``,
-so an artifact is either the old file or the complete new one, never a
-half-written mix.
+Text artifacts start with a `# graph2ts-<kind> v1 ...` header line. The body
+is numeric CSV rows (windows, graphs, boundaries, embeddings, curves), labelled
+CSV rows under a column line (loss log, ablation table), or `key=value` lines
+(metrics, tail stats, gradient check report). Floats are written with repr so
+re-reading is exact and runs with identical seeds produce byte-identical
+files. The checkpoint is a little-endian binary container of named 2-D
+float64 arrays preceded by a JSON echo of the training config, the best epoch
+and the quantile boundaries. Every writer goes through ``atomic_open``, so an
+artifact is either the old file or the complete new one, never a half-written
+mix.
 """
 
 from __future__ import annotations
@@ -15,10 +18,11 @@ import json
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 
 import numpy as np
 
+from .autodiff import GRADCHECK_STEP, GRADCHECK_TOLERANCE
 from .metrics import MetricsReport, TailStats
 from .model import Graph2TS, LossBreakdown, TrainConfig, init_params
 from .quantile_graph import QuantileBoundaries
@@ -36,6 +40,8 @@ __all__ = [
     "write_tail_stats",
     "write_curve",
     "write_embeddings",
+    "write_ablation",
+    "write_gradcheck_report",
     "save_model",
     "load_model",
 ]
@@ -48,6 +54,8 @@ METRICS_MAGIC = "# graph2ts-metrics v1"
 TAILSTATS_MAGIC = "# graph2ts-tailstats v1"
 CURVE_MAGIC = "# graph2ts-curve v1"
 EMBED_MAGIC = "# graph2ts-embeddings v1"
+ABLATION_MAGIC = "# graph2ts-ablation v1"
+GRADCHECK_MAGIC = "# graph2ts-gradcheck v1"
 CKPT_MAGIC = b"g2ts-ckpt v1\n"
 
 
@@ -82,6 +90,23 @@ def _write_matrix_file(path, magic: str, rows: np.ndarray) -> None:
         fh.write(magic + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
+def _write_table(path, magic: str, columns: list[str], rows) -> None:
+    """A column line, then one ``label,value,...`` line per (label, values) row."""
+    with atomic_open(path) as fh:
+        fh.write(magic + "\n")
+        fh.write(",".join(columns) + "\n")
+        for label, values in rows:
+            fh.write(",".join([str(label)] + [_fmt(v) for v in values]) + "\n")
+
+
+def _write_kv(path, magic: str, items) -> None:
+    """One ``key=value`` line per item; floats via ``_fmt``, other values as they are."""
+    with atomic_open(path) as fh:
+        fh.write(magic + "\n")
+        for key, value in items:
+            fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
 
 
 def _read_header(path, expected: str) -> tuple[str, list[str]]:
@@ -173,21 +198,8 @@ def read_boundaries(path) -> QuantileBoundaries:
 
 
 def write_loss_log(path, log: list[LossBreakdown]) -> None:
-    with atomic_open(path) as fh:
-        fh.write(LOSSLOG_MAGIC + "\n")
-        fh.write("epoch,align,recon,dist,kl,beta,total\n")
-        for epoch, e in enumerate(log):
-            fh.write(
-                f"{epoch},{_fmt(e.align)},{_fmt(e.recon)},{_fmt(e.dist)},"
-                f"{_fmt(e.kl)},{_fmt(e.beta)},{_fmt(e.total)}\n"
-            )
-
-
-def _write_kv(path, magic: str, items) -> None:
-    with atomic_open(path) as fh:
-        fh.write(magic + "\n")
-        for key, value in items:
-            fh.write(f"{key}={_fmt(value)}\n")
+    columns = ["epoch"] + [f.name for f in fields(LossBreakdown)]
+    _write_table(path, LOSSLOG_MAGIC, columns, enumerate(map(astuple, log)))
 
 
 def write_metrics_report(path, report: MetricsReport) -> None:
@@ -200,17 +212,29 @@ def write_tail_stats(path, x_stats: TailStats, dx_stats: TailStats) -> None:
 
 def write_curve(path, name: str, values: np.ndarray) -> None:
     """One plot-ready value per row (lag or frequency-bin index implied)."""
-    v = np.asarray(values, dtype=np.float64).ravel()
-    with atomic_open(path) as fh:
-        fh.write(f"{CURVE_MAGIC} name={name} N={v.size}\n")
-        for x in v:
-            fh.write(_fmt(x) + "\n")
+    v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    _write_matrix_file(path, f"{CURVE_MAGIC} name={name} N={v.shape[0]}", v)
 
 
 def write_embeddings(path, embeddings: np.ndarray) -> None:
     """Raw embedding rows for external projection tools (t-SNE and friends)."""
     e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
     _write_matrix_file(path, f"{EMBED_MAGIC} D={e.shape[1]}", e)
+
+
+def write_ablation(path, results: list[tuple[str, MetricsReport]]) -> None:
+    """One row of scores per ablation config, labelled by the config's name."""
+    columns = ["config"] + [key for key, _ in results[0][1].score_items()]
+    _write_table(path, ABLATION_MAGIC, columns,
+                 ((label, [v for _, v in report.score_items()]) for label, report in results))
+
+
+def write_gradcheck_report(path, batch: int, coordinates: int, max_rel_err: float,
+                           status: str) -> None:
+    """The fixed protocol (batch, step, bound) beside the result and PASS or FAIL."""
+    _write_kv(path, GRADCHECK_MAGIC, [("batch", batch), ("h", GRADCHECK_STEP),
+                                      ("coordinates", coordinates), ("max_rel_err", max_rel_err),
+                                      ("tolerance", GRADCHECK_TOLERANCE), ("status", status)])
 
 
 # ---------------------------------------------------------------------------
@@ -222,9 +246,7 @@ def save_model(path, model: Graph2TS) -> None:
     meta = {
         "config": asdict(model.config),
         "best_epoch": model.best_epoch,
-        "boundaries": None
-        if model.boundaries is None
-        else list(map(float, model.boundaries.edges)),
+        "boundaries": list(map(float, model.boundaries.edges)),
     }
     with atomic_open(path, binary=True) as fh:
         fh.write(CKPT_MAGIC)
@@ -261,8 +283,9 @@ def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig
 
 
 def load_model(path) -> Graph2TS:
-    """Inverse of save_model; truncation, trailing bytes, or parameters that do
-    not match the config or hold NaN/Inf raise ValueError."""
+    """Inverse of save_model; a bad JSON header (config, best epoch or
+    boundaries), truncation, trailing bytes, or parameters that do not match
+    the config or hold NaN/Inf raise ValueError."""
     with open(path, "rb") as fh:
         buf = fh.read()
     if not buf.startswith(CKPT_MAGIC):
@@ -282,7 +305,10 @@ def load_model(path) -> Graph2TS:
     try:
         meta = json.loads(buf[pos:end].decode("utf-8"))
         config = TrainConfig(**meta["config"])
-        best_epoch, edges = meta["best_epoch"], meta["boundaries"]
+        best_epoch = meta["best_epoch"]
+        if not isinstance(best_epoch, int) or isinstance(best_epoch, bool):
+            raise TypeError(f"best_epoch must be of type int, got {best_epoch!r}")
+        bounds = QuantileBoundaries(edges=meta["boundaries"], n_states=config.n_states)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad checkpoint JSON header: {exc!r}") from None
     pos = end + 1
@@ -297,7 +323,4 @@ def load_model(path) -> Graph2TS:
     if pos != len(buf):
         raise ValueError(f"{path}: {len(buf) - pos} trailing byte(s) after the last array")
     _check_param_schema(path, params, config)
-    bounds = None
-    if edges is not None:
-        bounds = QuantileBoundaries(edges=np.array(edges), n_states=config.n_states)
     return Graph2TS(config=config, params=params, boundaries=bounds, best_epoch=best_epoch)

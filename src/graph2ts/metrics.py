@@ -70,8 +70,8 @@ class MetricsReport:
     tails_synth_x: TailStats
     tails_synth_dx: TailStats
 
-    def as_items(self) -> list[tuple[str, float]]:
-        """Flat (key, value) pairs in a stable order for serialization."""
+    def score_items(self) -> list[tuple[str, float]]:
+        """The (key, value) pairs of the scores, without the tail statistics."""
         items = [
             ("wasserstein", self.wasserstein),
             ("ks", self.ks),
@@ -83,6 +83,12 @@ class MetricsReport:
         ]
         for q in sorted(self.coverage):
             items.append((f"coverage_{q:g}", self.coverage[q]))
+        return items
+
+    def as_items(self) -> list[tuple[str, float]]:
+        """Flat (key, value) pairs in a stable order for serialization: the
+        scores, then the tail statistics of each set."""
+        items = self.score_items()
         for prefix, ts in (
             ("real_x", self.tails_real_x),
             ("real_dx", self.tails_real_dx),

@@ -18,8 +18,9 @@ posterior/latent path entirely and decodes the normalized graph embedding.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, get_type_hints
 
 import numpy as np
 
@@ -67,6 +68,9 @@ INIT_TEMPERATURE = 0.07
 # one decode of 4000 graphs x 10 makes 41-51 MB temporaries that miss cache
 _GENERATE_BLOCK_ROWS = 4096
 
+# what a TrainConfig field of each annotated type accepts
+_FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -86,6 +90,11 @@ class TrainConfig:
     variant: str = "full"
 
     def __post_init__(self):
+        # the annotations, which also type the CLI's keys; bool subclasses int
+        for name, kind in get_type_hints(TrainConfig).items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind]):
+                raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
         for name in ("window_length", "n_states", "embed_dim", "latent_dim",
                      "batch_size", "epochs"):
             if getattr(self, name) < 1:
@@ -352,7 +361,7 @@ class Graph2TS:
 
     config: TrainConfig
     params: dict[str, np.ndarray]
-    boundaries: QuantileBoundaries | None = None
+    boundaries: QuantileBoundaries
     best_epoch: int = -1
 
     def _leaves(self, tape: Tape) -> dict[str, Var]:

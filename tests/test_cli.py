@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -7,8 +8,9 @@ import pytest
 from graph2ts import cli, fileio
 from graph2ts.cli import build_parser, load_config_file, main, resolve_config
 from graph2ts.dataset import synth_generate
-from graph2ts.model import TrainConfig
-from graph2ts.quantile_graph import identity_graph
+from graph2ts.metrics import evaluate
+from graph2ts.model import Graph2TS, TrainConfig, init_params
+from graph2ts.quantile_graph import QuantileBoundaries, identity_graph
 
 
 @pytest.fixture
@@ -122,6 +124,9 @@ class TestConfigFile:
         ("generate", "--checkpoint", "c", "--graphs", "g", "--out", "o", "--n-states", "5"),
         ("eval", "--real", "r", "--synth", "s", "--out", "o", "--window-length", "16"),
         ("gradcheck", "--batch-size", "8"),
+        ("gradcheck", "--h", "1e-5"),
+        ("gradcheck", "--tolerance", "1e-4"),
+        ("gradcheck", "--batch", "3"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -279,6 +284,16 @@ class TestPipelineCommands:
         assert err == f"error: {bfile}: {want}\n"
         assert not gfile.exists()
 
+    @pytest.mark.parametrize("column", ["-1", "-5"])
+    def test_ingest_rejects_negative_column(self, tmp_path, capsys, column):
+        series = tmp_path / "s.txt"
+        series.write_text("1.0,10.0\n2.0,20.0\n3.0,30.0\n")
+        out = tmp_path / "w.txt"
+        assert run("ingest", "--input", series, "--out", out, "--window-length", "2",
+                   "--column", column) == 2
+        assert capsys.readouterr().err == f"error: column must be >= 0, got {column}\n"
+        assert not out.exists()
+
     def test_ingest_input_is_a_directory(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
         assert run("ingest", "--input", tmp_path, "--out", out) == 2
@@ -297,6 +312,9 @@ class TestPipelineCommands:
         lines = out.read_text().splitlines()
         assert lines[0] == "# graph2ts-ablation v1"
         assert lines[1].startswith("config,wasserstein,ks,")
+        windows = synth_generate("sine_mix", 4, 32, 1)
+        scores = evaluate(windows, windows[::-1], seed=0).score_items()
+        assert lines[1].split(",") == ["config"] + [key for key, _ in scores]
         labels = [ln.split(",")[0] for ln in lines[2:]]
         assert labels == ["full", "no_graph", "deterministic",
                           "w_recon=0", "w_align=0", "w_dist=0", "beta_max=0"]
@@ -416,6 +434,39 @@ class TestRejectedInputs:
                        "sets window_length=16\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, want", [
+        ("window_length", 2.5, "window_length must be of type int, got 2.5"),
+        ("window_length", True, "window_length must be of type int, got True"),
+        ("best_epoch", "x", "best_epoch must be of type int, got 'x'"),
+        ("best_epoch", 1.5, "best_epoch must be of type int, got 1.5"),
+        ("best_epoch", None, "best_epoch must be of type int, got None"),
+        ("boundaries", None, "boundaries need exactly n_states + 1 edges"),
+        ("boundaries", [1.0, 0.0, 2.0], "boundary edges must be strictly increasing"),
+        ("boundaries", [0.0, 1.0], "boundaries need exactly n_states + 1 edges"),
+        ("boundaries", "abc", "could not convert string to float: 'abc'"),
+    ], ids=["window_length_2.5", "window_length_true", "best_epoch_x", "best_epoch_1.5",
+            "best_epoch_null", "boundaries_null", "boundaries_decreasing",
+            "boundaries_count", "boundaries_abc"])
+    def test_generate_bad_checkpoint_header(self, tmp_path, capsys, key, value, want):
+        cfg = TrainConfig(window_length=2, n_states=2, embed_dim=1, latent_dim=1)
+        bounds = QuantileBoundaries(edges=np.array([-1.0, 0.0, 1.0]), n_states=2)
+        params = init_params(cfg, np.random.default_rng(0))
+        ckpt = tmp_path / "model.g2ts"
+        fileio.save_model(ckpt, Graph2TS(config=cfg, params=params, boundaries=bounds,
+                                         best_epoch=0))
+        magic, header, arrays = ckpt.read_bytes().split(b"\n", 2)
+        meta = json.loads(header)
+        (meta["config"] if key in meta["config"] else meta)[key] = value
+        ckpt.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), arrays]))
+        graphs = tmp_path / "g.txt"
+        fileio.write_graphs(graphs, identity_graph(2).reshape(1, -1), 2)
+        out = tmp_path / "s.txt"
+        assert run("generate", "--checkpoint", ckpt, "--graphs", graphs, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: bad checkpoint JSON header: ")
+        assert want in err and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--curves-dir", "--embeddings-dir"])
     def test_eval_output_dir_is_a_file(self, tmp_path, capsys, flag):
         _, rundir = _train_small(tmp_path)
@@ -439,9 +490,9 @@ class TestChecks:
         rc = run("gradcheck", "--embed-dim", "6", "--latent-dim", "2",
                  "--out", report, "--seed", "2")
         assert rc == 0
-        text = report.read_text()
-        assert text.startswith("# graph2ts-gradcheck v1\n")
-        assert "status=PASS" in text
+        lines = report.read_text().splitlines()
+        assert lines[:3] == ["# graph2ts-gradcheck v1", "batch=4", "h=1e-05"]
+        assert lines[5:] == ["tolerance=0.0001", "status=PASS"]
         assert "PASS" in capsys.readouterr().out
 
     def test_gradcheck_no_graph_conditions_on_identity(self, monkeypatch):
@@ -455,21 +506,7 @@ class TestChecks:
 
             monkeypatch.setattr(cli, name, recording)
         rc = run("gradcheck", "--variant", "no_graph", "--embed-dim", "3",
-                 "--latent-dim", "1", "--batch", "3", "--seed", "2")
+                 "--latent-dim", "1", "--seed", "2")
         assert rc == 0
         ident = identity_graph(TrainConfig().n_states).reshape(1, -1)
-        assert seen and all(np.array_equal(g, np.tile(ident, (3, 1))) for g in seen)
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--h", "0"), ("--h", "-1e-5"), ("--h", "nan"), ("--h", "inf"),
-        ("--tolerance", "nan"), ("--tolerance", "inf"), ("--tolerance", "-1e-4"),
-    ])
-    def test_gradcheck_rejects_bad_step_or_tolerance(self, tmp_path, capsys, flag, value):
-        report = tmp_path / "gc.txt"
-        rc = run("gradcheck", "--embed-dim", "3", "--latent-dim", "1", "--batch", "3",
-                 f"{flag}={value}", "--out", report)
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: {flag} must be finite and ")
-        assert captured.err.count("\n") == 1 and captured.out == ""
-        assert not report.exists()
+        assert seen and all(np.array_equal(g, np.tile(ident, (4, 1))) for g in seen)

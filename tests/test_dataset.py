@@ -3,7 +3,6 @@ import pytest
 
 from graph2ts.dataset import (
     NormStats,
-    RawSeries,
     load_series,
     make_windows,
     split,
@@ -22,11 +21,11 @@ class TestLoadSeries:
     def test_plain_column(self, tmp_path):
         p = _write(tmp_path, "1.0\n2.0\n3.0\n")
         s = load_series(p, 0)
-        assert np.array_equal(s.values, [1.0, 2.0, 3.0])
+        assert s.dtype == np.float64 and np.array_equal(s, [1.0, 2.0, 3.0])
 
     def test_header_skipped(self, tmp_path):
         p = _write(tmp_path, "val\n5\n5\n")
-        assert np.array_equal(load_series(p, 0).values, [5.0, 5.0])
+        assert np.array_equal(load_series(p, 0), [5.0, 5.0])
 
     def test_nan_row_is_error(self, tmp_path):
         p = _write(tmp_path, "1.0\nnan\n2.0\n")
@@ -45,31 +44,35 @@ class TestLoadSeries:
     @pytest.mark.parametrize("sep", [",", "\t", " "])
     def test_delimiters(self, tmp_path, sep):
         p = _write(tmp_path, f"1{sep}10\n2{sep}20\n")
-        assert np.array_equal(load_series(p, 1).values, [10.0, 20.0])
+        assert np.array_equal(load_series(p, 1), [10.0, 20.0])
 
 
 class TestMakeWindows:
     def test_stride_one(self):
-        s = RawSeries(values=np.arange(1.0, 6.0), source_id="t")
-        w = make_windows(s, 3, 1)
+        w = make_windows(np.arange(1.0, 6.0), 3, 1)
         assert w.shape == (3, 3)
         assert np.array_equal(w, [[1, 2, 3], [2, 3, 4], [3, 4, 5]])
 
     def test_stride_two_drops_partial(self):
-        s = RawSeries(values=np.arange(1.0, 6.0), source_id="t")
-        w = make_windows(s, 3, 2)
+        w = make_windows(np.arange(1.0, 6.0), 3, 2)
         assert np.array_equal(w, [[1, 2, 3], [3, 4, 5]])
 
     def test_too_short(self):
-        s = RawSeries(values=np.array([1.0, 2.0]), source_id="t")
         with pytest.raises(ValueError):
-            make_windows(s, 3, 1)
+            make_windows(np.array([1.0, 2.0]), 3, 1)
+
+    def test_not_1d(self):
+        with pytest.raises(ValueError, match="non-empty 1-D array"):
+            make_windows(np.ones((2, 3)), 2, 1)
+
+    def test_nan_value(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            make_windows(np.array([1.0, np.nan, 3.0]), 2, 1)
 
     def test_concat_roundtrip(self, rng):
         # stride=T windowing then concatenation rebuilds the series prefix
         values = rng.standard_normal(103)
-        s = RawSeries(values=values, source_id="t")
-        w = make_windows(s, 10, 10)
+        w = make_windows(values, 10, 10)
         assert np.array_equal(w.ravel(), values[: w.size])
 
 

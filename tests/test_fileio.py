@@ -192,7 +192,8 @@ def test_windows_bad_values_name_file_and_row(tmp_path, row, problem):
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = TrainConfig(embed_dim=8, latent_dim=2, seed=3)
     params = init_params(cfg, np.random.default_rng(3))
-    model = Graph2TS(config=cfg, params=params, boundaries=None, best_epoch=0)
+    bounds = QuantileBoundaries(edges=np.linspace(-2, 2, cfg.n_states + 1), n_states=cfg.n_states)
+    model = Graph2TS(config=cfg, params=params, boundaries=bounds, best_epoch=0)
     p1, p2 = tmp_path / "a.g2ts", tmp_path / "b.g2ts"
     fileio.save_model(p1, model)
     fileio.save_model(p2, model)

@@ -504,6 +504,17 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", 2.0), ("epochs", True), ("lr", False), ("lr", "0.1"), ("variant", 1),
+    ])
+    def test_field_of_wrong_type_rejected(self, name, value):
+        with pytest.raises(TypeError, match=f"{name} must be of type "):
+            TrainConfig(**{name: value})
+
+    def test_integral_and_real_values_accepted(self):
+        cfg = TrainConfig(epochs=np.int64(3), lr=1, beta_max=np.float64(0.5))
+        assert cfg.epochs == 3 and cfg.lr == 1 and cfg.beta_max == 0.5
+
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
         assert cfg.window_length == 32 and cfg.n_states == 10
