@@ -8,7 +8,8 @@ corpus (a sine_mix and a heavy_tail series made from fixed seeds):
            -> generate (--n-per-graph 1, 7 and 40) -> stats -> eval
               (with curves and embeddings, on the 7-per-graph windows)
            -> eval (all 3000 windows against the 40-per-graph windows)
-           -> ablate (the seven-configuration grid at the TRAIN settings)
+           -> ablate (the seven-configuration grid at the TRAIN settings, and
+              again at the SMALL widths)
 
 The 900 eval graphs decode in 1, 2 and 9 blocks at the three ``--n-per-graph``
 values, so the digests cover one block, a few blocks and many blocks. The
@@ -18,12 +19,20 @@ chunked distance passes as well. Scored against themselves, every window's
 nearest synthetic neighbour is itself, at exactly 0.0, so the digests cover the
 exact-zero path at chunked scale too. This is followed by ``gradcheck`` for
 each variant at small widths and for ``full`` at the default widths (the last
-takes about a minute). Each artifact gives one ``sha256  path`` line, with the
-path relative to the run directory. Two source trees produce the same bytes
-exactly when the outputs are equal:
+takes about a minute). The output starts with a header line that names the
+environment (python, numpy, the BLAS build and the OpenBLAS core it runs on),
+then each artifact gives one ``sha256  path`` line, with the path relative to
+the run directory. Two source trees produce the same bytes exactly when the
+outputs are equal:
 
     python scripts/chain_digests.py > after.txt
     diff before.txt after.txt
+
+``--check FILE`` compares the run with a recorded output instead, such as the
+committed ``scripts/digests.sha256``. It exits 0 when every digest matches and
+1 after naming each artifact that differs, is missing or is new. It exits 2
+without running anything when the file's header names another environment,
+since the bytes of another BLAS build or core are not comparable.
 
 Each corpus is also trained once more with the ``TRAIN`` settings read from a
 ``--config`` file instead of flags. The script exits non-zero unless that run's
@@ -36,15 +45,20 @@ The package is imported from the ``src`` directory next to this script.
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import ctypes
 import hashlib
 import io
+import platform
 import shutil
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
 
 from graph2ts import cli, dataset  # noqa: E402
 
@@ -55,6 +69,7 @@ WINDOW = 32
 TRAIN = ("--epochs", "4", "--batch-size", "256", "--eval-fraction", "0.3", "--seed", "7")
 SMALL = ("--embed-dim", "6", "--latent-dim", "2")
 PER_GRAPH = (1, 7, 40)
+HEADER = "# graph2ts chain digests"
 
 
 def _run(*argv) -> None:
@@ -89,6 +104,8 @@ def _chain(root: Path, kind: str, seed: int) -> None:
         _run("eval", "--real", root / "windows.txt", "--synth", run / "synth_n40.txt",
              "--out", run / "metrics_n40.txt")
     _run("ablate", "--windows", root / "windows.txt", "--out", root / "ablation.csv", *TRAIN)
+    _run("ablate", "--windows", root / "windows.txt", "--out", root / "ablation_small.csv",
+         *TRAIN, *SMALL)
     _check_config_twin(root)
 
 
@@ -107,7 +124,36 @@ def _check_config_twin(root: Path) -> None:
     cfg.unlink()
 
 
-def main() -> int:
+def _openblas_core() -> str:
+    """The core type the loaded OpenBLAS picked at run time, or ``none``."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({ln.split()[-1] for ln in fh if "openblas" in ln.lower()})
+    except OSError:
+        libs = []
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename64_", "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "none"
+
+
+def environment_header() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return (f"{HEADER} python={platform.python_version()} numpy={np.__version__} "
+            f"blas={blas.get('name')}-{blas.get('version')} openblas_core={_openblas_core()}")
+
+
+def digests() -> dict[str, str]:
+    """Run every chain in a temporary directory; artifact path -> sha256."""
+    out = {}
     with tempfile.TemporaryDirectory() as tmp:
         top = Path(tmp)
         for kind, seed in CORPORA:
@@ -118,8 +164,40 @@ def main() -> int:
                  "--out", top / f"gradcheck_small_{variant}.txt")
         _run("gradcheck", "--seed", "11", "--out", top / "gradcheck_default_full.txt")
         for path in sorted(p for p in top.rglob("*") if p.is_file()):
-            digest = hashlib.sha256(path.read_bytes()).hexdigest()
-            print(f"{digest}  {path.relative_to(top).as_posix()}")
+            out[path.relative_to(top).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def check(record: Path) -> int:
+    lines = record.read_text(encoding="utf-8").splitlines()
+    header = environment_header()
+    if not lines or lines[0] != header:
+        print(f"chain_digests: {record} was recorded in another environment; nothing compared\n"
+              f"  recorded: {lines[0] if lines else '(empty file)'}\n  running:  {header}",
+              file=sys.stderr)
+        return 2
+    want = {path: digest for digest, path in (ln.split("  ", 1) for ln in lines[1:])}
+    got = digests()
+    differ = sorted(p for p in want.keys() | got.keys() if want.get(p) != got.get(p))
+    for path in differ:
+        what = "missing" if path not in got else "new" if path not in want else "differs"
+        print(f"chain_digests: {path}: {what}", file=sys.stderr)
+    print(f"chain_digests: {len(got) - len(differ)} of {len(want.keys() | got.keys())} "
+          f"artifacts match {record}")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Print or check the digests of a "
+                                                 "fixed-seed CLI chain.")
+    parser.add_argument("--check", metavar="FILE", type=Path,
+                        help="compare with a recorded output instead of printing")
+    args = parser.parse_args(argv)
+    if args.check:
+        return check(args.check)
+    print(environment_header())
+    for path, digest in digests().items():
+        print(f"{digest}  {path}")
     return 0
 
 

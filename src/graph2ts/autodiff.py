@@ -42,7 +42,7 @@ __all__ = [
     "grad_check",
 ]
 
-NORM_EPS = 1e-12  # l2_normalize_rows rejects a row norm at or below this
+NORM_EPS = 1e-12  # l2_normalize_rows divides a row by this when its norm is at or below it
 
 
 class Var:
@@ -162,15 +162,22 @@ def mlp2(
 
 
 def l2_normalize_rows(x: Var) -> Var:
-    """Rows scaled to unit Euclidean norm; dX = (g - y (y·g)) / ‖x‖ per row."""
-    norms = np.sqrt((x.value * x.value).sum(axis=1, keepdims=True))
-    if (norms <= NORM_EPS).any():
-        raise ValueError("l2_normalize_rows: near-zero row norm")
+    """Rows scaled to unit Euclidean norm; dX = (g - y (y·g)) / ‖x‖ per row.
+
+    A row whose norm is at most ``NORM_EPS`` is divided by ``NORM_EPS`` instead,
+    so a zero row stays zero; that row is the linear map x / NORM_EPS, with
+    dX = g / NORM_EPS.
+    """
+    norms = np.maximum(np.sqrt((x.value * x.value).sum(axis=1, keepdims=True)), NORM_EPS)
+    clamped = (norms == NORM_EPS)[:, 0]
     y = x.value / norms
-    return _out(
-        x.tape, y, "l2_normalize_rows",
-        lambda g: _acc(x, (g - y * (y * g).sum(axis=1, keepdims=True)) / norms),
-    )
+
+    def backward(g):
+        proj = y * (y * g).sum(axis=1, keepdims=True)
+        proj[clamped] = 0.0
+        _acc(x, (g - proj) / norms)
+
+    return _out(x.tape, y, "l2_normalize_rows", backward)
 
 
 def sort_rows(x: Var) -> tuple[Var, np.ndarray]:

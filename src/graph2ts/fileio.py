@@ -5,20 +5,28 @@ is numeric CSV rows (windows, graphs, boundaries, embeddings, curves), labelled
 CSV rows under a column line (loss log, ablation table), or `key=value` lines
 (metrics, tail stats, gradient check report). Floats are written with repr so
 re-reading is exact and runs with identical seeds produce byte-identical
-files. The checkpoint is a little-endian binary container of named 2-D
-float64 arrays preceded by a JSON echo of the training config, the best epoch
-and the quantile boundaries. Every writer goes through ``atomic_open``, so an
-artifact is either the old file or the complete new one, never a half-written
-mix.
+files. Numeric bodies are read by numpy's C reader (``np.loadtxt``), which
+rounds correctly like ``float()``. A field is a decimal float in ASCII digits,
+optionally signed and with an exponent, with spaces or tabs around it allowed.
+An empty line is skipped, but a line of only whitespace is a malformed row, and
+``1_0`` or non-ASCII digits, which ``float()`` takes, are malformed too.
+
+The checkpoint is a little-endian binary container of named 2-D float64
+arrays preceded by a JSON echo of the training config, the best epoch and the
+quantile boundaries. Every writer goes through ``atomic_open``, so an artifact
+is either the old file or the complete new one, never a half-written mix.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
+import re
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
+from typing import NoReturn
 
 import numpy as np
 
@@ -88,8 +96,8 @@ def atomic_open(path, binary: bool = False):
 def _write_matrix_file(path, magic: str, rows: np.ndarray) -> None:
     with atomic_open(path) as fh:
         fh.write(magic + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        for row in rows:  # one row's floats at a time, not the whole matrix's
+            fh.write(",".join(map(repr, row.tolist())) + "\n")
 
 
 def _write_table(path, magic: str, columns: list[str], rows) -> None:
@@ -109,41 +117,59 @@ def _write_kv(path, magic: str, items) -> None:
             fh.write(f"{key}={_fmt(value) if isinstance(value, float) else value}\n")
 
 
-def _read_header(path, expected: str) -> tuple[str, list[str]]:
+def _parse(lines) -> np.ndarray:
+    """numpy's C reader: comma-separated float64 fields, empty lines skipped."""
+    return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=np.float64)
+
+
+def _read_matrix(path, magic: str, key: str, width_of) -> tuple[int, np.ndarray]:
+    """The header's ``key=`` value ``n``, then the body: finite floats,
+    ``width_of(n)`` per row. Errors name the file and the row (its line number,
+    the header being row 1)."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             header = fh.readline().strip()
-            if not header.startswith(expected):
-                raise ValueError(f"{path}: expected header '{expected} ...', got '{header}'")
-            return header, fh.read().splitlines()
+            if not header.startswith(magic):
+                raise ValueError(f"{path}: expected header '{magic} ...', got '{header}'")
+            n = _header_int(header, key, path)
+            width = width_of(n)
+            body = fh if fh.seekable() else io.StringIO(fh.read())  # a pipe reads once
+            start = body.tell()
+            line = body.readline()
+            while line == "\n":
+                line = body.readline()
+            if not line:
+                raise ValueError(f"{path}: no data rows")
+            body.seek(start)
+            try:
+                rows = _parse(body)
+            except ValueError:
+                rows = None
+            if rows is None or rows.shape[1] != width or not np.isfinite(rows).all():
+                body.seek(start)
+                _raise_first_fault(path, body, width)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return n, rows
 
 
-def _parse_rows(path, lines: list[str], width: int) -> np.ndarray:
-    """Comma-separated finite floats, ``width`` per row; errors name the file and
-    the row (its line number, the header being row 1)."""
-    rows = []
-    row_nos = []
-    for i, line in enumerate(lines, start=2):
-        if not line.strip():
+def _raise_first_fault(path, body, width: int) -> NoReturn:
+    """Parse the body again one non-empty line at a time, so the row named is
+    the first one the bulk parse could not accept."""
+    for i, line in enumerate(body, start=2):
+        if line == "\n":
             continue
         try:
-            vals = [float(tok) for tok in line.split(",")]
+            row = _parse([line])
         except ValueError as exc:
-            raise ValueError(f"{path}: row {i}: {exc}") from None
-        if len(vals) != width:
-            raise ValueError(f"{path}: row {i} has {len(vals)} values, expected {width}")
-        rows.append(vals)
-        row_nos.append(i)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    out = np.array(rows)
-    finite = np.isfinite(out).all(axis=1)
-    if not finite.all():
-        bad = row_nos[int(np.argmin(finite))]
-        raise ValueError(f"{path}: row {bad} holds a non-finite value")
-    return out
+            # numpy counts within the one-line input: keep only its column
+            msg = re.sub(r" at row \d+, column (\d+)\.$", r" in column \1", str(exc))
+            raise ValueError(f"{path}: row {i}: {msg}") from None
+        if row.shape[1] != width:
+            raise ValueError(f"{path}: row {i} has {row.shape[1]} values, expected {width}")
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: row {i} holds a non-finite value")
+    raise ValueError(f"{path}: rows do not parse as a whole")
 
 
 def _header_int(header: str, key: str, path) -> int:
@@ -162,8 +188,7 @@ def write_windows(path, windows: np.ndarray) -> None:
 
 
 def read_windows(path) -> np.ndarray:
-    header, lines = _read_header(path, WINDOWS_MAGIC)
-    return _parse_rows(path, lines, _header_int(header, "T", path))
+    return _read_matrix(path, WINDOWS_MAGIC, "T", lambda t: t)[1]
 
 
 def write_graphs(path, flat_graphs: np.ndarray, n_states: int) -> None:
@@ -174,9 +199,8 @@ def write_graphs(path, flat_graphs: np.ndarray, n_states: int) -> None:
 
 
 def read_graphs(path) -> tuple[np.ndarray, int]:
-    header, lines = _read_header(path, GRAPHS_MAGIC)
-    q = _header_int(header, "Q", path)
-    return _parse_rows(path, lines, q * q), q
+    q, rows = _read_matrix(path, GRAPHS_MAGIC, "Q", lambda q: q * q)
+    return rows, q
 
 
 def write_boundaries(path, bounds: QuantileBoundaries) -> None:
@@ -186,9 +210,7 @@ def write_boundaries(path, bounds: QuantileBoundaries) -> None:
 
 
 def read_boundaries(path) -> QuantileBoundaries:
-    header, lines = _read_header(path, BOUNDS_MAGIC)
-    q = _header_int(header, "Q", path)
-    edges = _parse_rows(path, lines, q + 1)
+    q, edges = _read_matrix(path, BOUNDS_MAGIC, "Q", lambda q: q + 1)
     if edges.shape[0] != 1:
         raise ValueError(f"{path}: {edges.shape[0]} rows of edges, expected 1")
     try:

@@ -318,7 +318,7 @@ def objective_value(
         return h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
 
     def l2n(v: np.ndarray) -> np.ndarray:
-        return v / np.sqrt((v * v).sum(axis=1, keepdims=True))
+        return v / np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), ad.NORM_EPS)
 
     def lse_rows(v: np.ndarray) -> np.ndarray:
         m = v.max(axis=1, keepdims=True)

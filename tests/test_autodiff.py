@@ -249,10 +249,31 @@ class TestL2Normalize:
         y = ad.l2_normalize_rows(t.leaf([[0.0, 1.0]]))
         assert np.allclose(y.value, [[0.0, 1.0]], atol=1e-15)
 
-    def test_near_zero_row_errors(self):
+    def test_near_zero_row_clamped(self):
+        t = Tape(record=False)
+        x = np.array([[3.0, 4.0], [0.0, 0.0], [1e-13, -2e-13], [-0.0, 0.0]])
+        y = ad.l2_normalize_rows(t.leaf(x))
+        # at or below the floor: x / NORM_EPS, so a zero row stays zero
+        assert y.value[1:].tobytes() == (x[1:] / ad.NORM_EPS).tobytes()
+        assert y.value[0].tobytes() == ad.l2_normalize_rows(t.leaf(x[:1])).value.tobytes()
+
+    def test_clamped_backward_is_linear_map(self, rng):
         t = Tape()
-        with pytest.raises(ValueError, match="near-zero"):
-            ad.l2_normalize_rows(t.leaf([[0.0, 0.0]]))
+        x = rng.standard_normal((4, 5))
+        x[1] *= 1e-14  # below the floor
+        x[3] = 0.0
+        c = rng.standard_normal((4, 5))
+        leaf = t.leaf(x)
+        y = ad.l2_normalize_rows(leaf)
+        t.backward(ad.mse_mean(y, c))
+        dy = 2.0 * (y.value - c) / c.size  # d mse_mean / dy
+        for i in (1, 3):
+            assert np.allclose(leaf.grad[i], dy[i] / ad.NORM_EPS, rtol=1e-14, atol=0.0)
+        ref = t.leaf(x[[0, 2]])  # the unclamped rows, alone
+        yr = ad.l2_normalize_rows(ref)
+        expect = (dy[[0, 2]] - yr.value * (yr.value * dy[[0, 2]]).sum(axis=1, keepdims=True))
+        assert np.allclose(leaf.grad[[0, 2]], expect / np.linalg.norm(x[[0, 2]], axis=1)[:, None],
+                           rtol=1e-12, atol=0.0)
 
     def test_fd(self, rng):
         x = rng.standard_normal((3, 6)) + 0.5

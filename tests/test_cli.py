@@ -294,6 +294,15 @@ class TestPipelineCommands:
         assert capsys.readouterr().err == f"error: column must be >= 0, got {column}\n"
         assert not out.exists()
 
+    def test_ablate_small_widths(self, tmp_path):
+        wfile = tmp_path / "w.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 3000, 32, 3))
+        out = tmp_path / "ablation.csv"
+        assert run("ablate", "--windows", wfile, "--out", out, "--epochs", "4",
+                   "--batch-size", "256", "--eval-fraction", "0.3", "--seed", "7",
+                   "--embed-dim", "6", "--latent-dim", "2") == 0
+        assert len(out.read_text().splitlines()) == 9
+
     def test_ingest_input_is_a_directory(self, tmp_path, capsys):
         out = tmp_path / "w.txt"
         assert run("ingest", "--input", tmp_path, "--out", out) == 2

@@ -1,7 +1,13 @@
+import contextlib
+import os
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from graph2ts import fileio
+from graph2ts.cli import main
 from graph2ts.metrics import evaluate
 from graph2ts.model import Graph2TS, LossBreakdown, TrainConfig, init_params
 from graph2ts.quantile_graph import QuantileBoundaries
@@ -216,15 +222,24 @@ def test_failed_write_keeps_old_file(tmp_path, rng, monkeypatch):
     path = tmp_path / "w.txt"
     fileio.write_windows(path, rng.standard_normal((5, 4)))
     before = path.read_bytes()
-    calls = []
+    real_open = fileio.atomic_open
 
-    def failing_fmt(v):
-        calls.append(v)
-        if len(calls) > 6:  # partway through the second row
-            raise RuntimeError("disk full")
-        return repr(float(v))
+    @contextlib.contextmanager
+    def failing_open(target, binary=False):
+        with real_open(target, binary) as fh:
+            real_write, calls = fh.write, []
 
-    monkeypatch.setattr(fileio, "_fmt", failing_fmt)
+            def write(text):
+                calls.append(text)
+                if len(calls) == 3:  # the header, the first row, then half the second
+                    real_write(text[: len(text) // 2])
+                    raise RuntimeError("disk full")
+                return real_write(text)
+
+            fh.write = write
+            yield fh
+
+    monkeypatch.setattr(fileio, "atomic_open", failing_open)
     with pytest.raises(RuntimeError, match="disk full"):
         fileio.write_windows(path, rng.standard_normal((5, 4)))
     assert path.read_bytes() == before
@@ -245,3 +260,131 @@ def test_missing_directory_error_names_the_artifact(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         fileio.write_windows(path, np.ones((1, 2)))
     assert info.value.filename == str(path)
+
+
+def _awkward_floats(rng) -> np.ndarray:
+    """Every binade of float64 with a seeded mantissa and sign, seeded subnormals,
+    the signed zeros, the extremes and values that need 17 significant digits."""
+    exponents = np.arange(1, 2047, dtype=np.uint64)
+    mantissas = rng.integers(0, 2**52, size=exponents.size, dtype=np.uint64)
+    signs = rng.integers(0, 2, size=exponents.size, dtype=np.uint64)
+    normal = ((signs << np.uint64(63)) | (exponents << np.uint64(52)) | mantissas).view(np.float64)
+    subnormal = rng.integers(1, 2**52, size=64, dtype=np.uint64).view(np.float64)
+    big = np.finfo(np.float64).max
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, big, -big, np.finfo(np.float64).tiny,
+                        0.1 + 0.2, 1.0 + 2**-52, 1 / 3, -2 / 3, 2.0**53 + 2])
+    return np.concatenate([special, normal, subnormal, -subnormal])
+
+
+def test_every_float64_kind_keeps_its_bits(tmp_path, rng):
+    vals = _awkward_floats(rng)
+    significant = [len(repr(v).split("e")[0].strip("-").replace(".", "").strip("0"))
+                   for v in vals.tolist()]
+    assert significant.count(17) > 100  # many values need every digit repr writes
+    windows = np.concatenate([vals, rng.standard_normal(-vals.size % 64)]).reshape(-1, 32)
+    fileio.write_windows(tmp_path / "w.txt", windows)
+    assert fileio.read_windows(tmp_path / "w.txt").tobytes() == windows.tobytes()
+
+    graphs = windows.reshape(-1, 64)
+    fileio.write_graphs(tmp_path / "g.txt", graphs, 8)
+    back, q = fileio.read_graphs(tmp_path / "g.txt")
+    assert q == 8 and back.tobytes() == graphs.tobytes()
+
+    edges = np.concatenate([[-0.0], np.unique(np.abs(vals[vals != 0.0]))])
+    bounds = QuantileBoundaries(edges=edges, n_states=edges.size - 1)
+    fileio.write_boundaries(tmp_path / "b.txt", bounds)
+    back_bounds = fileio.read_boundaries(tmp_path / "b.txt")
+    assert back_bounds.edges.tobytes() == edges.tobytes()
+    assert back_bounds.n_states == edges.size - 1
+
+
+# spellings repr never writes, and decimal strings that are hard to round
+HAND_TOKENS = ["1e5", "+1.5", " 2.0 ", "1.50", "1E-3", ".5", "5.", "-0", "\t7\t",
+               "1.7976931348623157e308", "2.4703282292062328e-324", "9007199254740993",
+               "2.2250738585072011e-308", "0.1000000000000000055511151231257827021181583404541015625"]
+
+
+def test_hand_written_tokens_parse_like_float(tmp_path):
+    p = tmp_path / "w.txt"
+    p.write_text(f"# graph2ts-windows v1 T={len(HAND_TOKENS)}\n" + ",".join(HAND_TOKENS) + "\n")
+    want = np.array([[float(tok) for tok in HAND_TOKENS]])
+    assert fileio.read_windows(p).tobytes() == want.tobytes()
+
+
+GOOD_ROW = "1.0,2.0,3.0\n"
+
+
+@pytest.mark.parametrize("bad, problem", [
+    ("1.0,2.0", "has 2 values, expected 3"),
+    ("1.0,2.0,3.0,4.0", "has 4 values, expected 3"),
+    ("   ", "could not convert"),
+    ("1.0,,3.0", "could not convert"),
+    ("1.0,2.0,3.0,", "could not convert"),
+    ("1.0,#2.0,3.0", "could not convert"),
+    ("1_0,2.0,3.0", "could not convert"),
+    ("١,2.0,3.0", "could not convert"),
+    ("1.0,\x002.0,3.0", "could not convert"),
+    ("1.0,2.0,nan", "non-finite"),
+], ids=["short", "long", "whitespace_only", "empty_field", "trailing_comma", "hash",
+        "underscore", "arabic_indic_digit", "nul", "nan"])
+@pytest.mark.parametrize("before", [2, 6000], ids=["early", "past_row_5000"])
+def test_reader_fault_names_file_and_row(tmp_path, bad, problem, before):
+    """``before`` good rows and one empty line precede the fault, so it sits on
+    line ``before + 3`` (the header is row 1)."""
+    p = tmp_path / "w.txt"
+    p.write_text("# graph2ts-windows v1 T=3\n" + GOOD_ROW * (before - 1) + "\n" + GOOD_ROW
+                 + bad + "\n" + GOOD_ROW * 3, encoding="utf-8")
+    with pytest.raises(ValueError, match=problem) as info:
+        fileio.read_windows(p)
+    assert str(info.value).startswith(f"{p}: row {before + 3}")
+
+
+@pytest.mark.parametrize("before", [2, 6000], ids=["early", "past_row_5000"])
+def test_reader_rejects_non_utf8_byte(tmp_path, before):
+    p = tmp_path / "w.txt"
+    p.write_bytes(b"# graph2ts-windows v1 T=3\n" + GOOD_ROW.encode() * before
+                  + b"1.0,\xff,3.0\n" + GOOD_ROW.encode())
+    with pytest.raises(ValueError, match=f"^{p}: not UTF-8 text"):
+        fileio.read_windows(p)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "\n\n\n"], ids=["header_only", "one_empty", "three_empty"])
+def test_reader_no_data_rows_without_warning(tmp_path, body):
+    p = tmp_path / "g.txt"
+    p.write_text("# graph2ts-graphs v1 Q=2\n" + body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{p}: no data rows$"):
+            fileio.read_graphs(p)
+
+
+@pytest.mark.parametrize("last, problem", [("4.0,5.0,6.0", None),
+                                           ("4.0,5.0,inf", "row 3 holds a non-finite")])
+def test_reader_takes_a_pipe(tmp_path, last, problem):
+    fifo = tmp_path / "w.fifo"
+    os.mkfifo(fifo)
+    text = "# graph2ts-windows v1 T=3\n1.0,2.0,3.0\n" + last + "\n"
+    writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+    writer.start()
+    try:
+        if problem is None:
+            assert fileio.read_windows(fifo).tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        else:
+            with pytest.raises(ValueError, match=f"^{fifo}: {problem}"):
+                fileio.read_windows(fifo)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+
+
+def test_eval_reports_the_faulty_row(tmp_path, rng, capsys):
+    real, synth, out = tmp_path / "real.txt", tmp_path / "synth.txt", tmp_path / "m.txt"
+    fileio.write_windows(real, rng.standard_normal((20, 8)))
+    fileio.write_windows(synth, rng.standard_normal((6000, 8)))
+    lines = synth.read_text().splitlines(keepends=True)
+    lines[5500] = lines[5500].replace(",", ",1_0,", 1)
+    synth.write_text("".join(lines))
+    assert main(["eval", "--real", str(real), "--synth", str(synth), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {synth}: row 5501: could not convert")
+    assert not out.exists()

@@ -296,6 +296,19 @@ class TestObjective:
         batch_objective(p, x, g, eps, cfg, beta=0.02)
         assert len(tape._ops) == n_ops
 
+    def test_zero_embedding_rows_stay_finite(self):
+        # zero encoder outputs: both normalizations divide by NORM_EPS, not by 0
+        for variant in ("full", "deterministic"):
+            cfg = dataclasses.replace(SMALL, variant=variant)
+            params, x, g, eps = self._setup(cfg)
+            for name in ("ts_enc.w2", "ts_enc.b2", "g_enc.w2", "g_enc.b2"):
+                params[name] = np.zeros_like(params[name])
+            _, p = _leaves(params, record=False)
+            total, _ = batch_objective(p, x, g, eps, cfg, beta=0.02)
+            plain = objective_value(params, x, g, eps, cfg, beta=0.02)
+            assert np.isfinite(plain)
+            assert float(total.value[0, 0]) == pytest.approx(plain, abs=1e-12)
+
     def test_deterministic_has_no_kl(self):
         cfg = dataclasses.replace(SMALL, variant="deterministic")
         params, x, g, eps = self._setup(cfg)
@@ -357,6 +370,15 @@ class TestTraining:
             model, log = train(cfg, tiny_data)
             assert len(log) == 2
             assert model.config.variant == variant
+
+    @pytest.mark.parametrize("embed_dim", [4, 6])
+    def test_small_widths_train(self, embed_dim):
+        # a few hidden ReLUs can all be off for a window, whose embedding is then 0
+        data = split(synth_generate("sine_mix", 3000, 32, 3), 0.3, seed=7)
+        cfg = TrainConfig(epochs=4, batch_size=256, seed=7, latent_dim=2, embed_dim=embed_dim)
+        model, log = train(cfg, data)
+        assert len(log) == 4 and all(np.isfinite(e.total) for e in log)
+        assert all(np.isfinite(v).all() for v in model.params.values())
 
     def test_window_length_mismatch(self, tiny_data):
         cfg = dataclasses.replace(SMALL, window_length=16)
