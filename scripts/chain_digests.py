@@ -18,12 +18,14 @@ chunk; the two evals of all 3000 windows split into 5, so the digests cover the
 chunked distance passes as well. Scored against themselves, every window's
 nearest synthetic neighbour is itself, at exactly 0.0, so the digests cover the
 exact-zero path at chunked scale too. This is followed by ``gradcheck`` for
-each variant at small widths and for ``full`` at the default widths (the last
-takes about a minute). The output starts with a header line that names the
-environment (python, numpy, the BLAS build and the OpenBLAS core it runs on),
-then each artifact gives one ``sha256  path`` line, with the path relative to
-the run directory. Two source trees produce the same bytes exactly when the
-outputs are equal:
+each variant at small widths and for ``full`` at the default widths. The
+default-width ``gradcheck`` (about 30 s) runs in one ``spawn`` worker and
+everything else in another, each with one OpenBLAS thread; one thread gives
+the same bytes as two, and on one CPU both shares run in turn in one worker.
+The output starts with a header line that names the environment (python,
+numpy, the BLAS build and the OpenBLAS core it runs on), then each artifact
+gives one ``sha256  path`` line, with the path relative to the run directory.
+Two source trees produce the same bytes exactly when the outputs are equal:
 
     python scripts/chain_digests.py > after.txt
     diff before.txt after.txt
@@ -50,6 +52,8 @@ import contextlib
 import ctypes
 import hashlib
 import io
+import multiprocessing
+import os
 import platform
 import shutil
 import sys
@@ -72,12 +76,16 @@ PER_GRAPH = (1, 7, 40)
 HEADER = "# graph2ts chain digests"
 
 
+class ChainError(Exception):
+    """A command of the chain failed; raised in a worker, re-raised by the pool."""
+
+
 def _run(*argv) -> None:
     argv = [str(a) for a in argv]
     with contextlib.redirect_stdout(io.StringIO()):
         rc = cli.main(argv)
     if rc != 0:
-        raise SystemExit(f"chain_digests: exit {rc} from: graph2ts {' '.join(argv)}")
+        raise ChainError(f"exit {rc} from: graph2ts {' '.join(argv)}")
 
 
 def _chain(root: Path, kind: str, seed: int) -> None:
@@ -118,7 +126,7 @@ def _check_config_twin(root: Path) -> None:
     _run("train", "--windows", root / "windows.txt", "--outdir", twin, "--config", cfg)
     for path in sorted(twin.iterdir()):
         if path.read_bytes() != (root / "full" / path.name).read_bytes():
-            raise SystemExit(f"chain_digests: {path.name} from --config {cfg} differs "
+            raise ChainError(f"{path.name} from --config {cfg} differs "
                              f"from the flag-driven full run")
     shutil.rmtree(twin)
     cfg.unlink()
@@ -151,18 +159,40 @@ def environment_header() -> str:
             f"blas={blas.get('name')}-{blas.get('version')} openblas_core={_openblas_core()}")
 
 
+def _default_gradcheck(top: Path) -> None:
+    _run("gradcheck", "--seed", "11", "--out", top / "gradcheck_default_full.txt")
+
+
+def _chains_and_small_gradchecks(top: Path) -> None:
+    for kind, seed in CORPORA:
+        (top / kind).mkdir()
+        _chain(top / kind, kind, seed)
+    for variant in VARIANTS:
+        _run("gradcheck", "--variant", variant, *SMALL, "--seed", "2",
+             "--out", top / f"gradcheck_small_{variant}.txt")
+
+
 def digests() -> dict[str, str]:
     """Run every chain in a temporary directory; artifact path -> sha256."""
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         top = Path(tmp)
-        for kind, seed in CORPORA:
-            (top / kind).mkdir()
-            _chain(top / kind, kind, seed)
-        for variant in VARIANTS:
-            _run("gradcheck", "--variant", variant, *SMALL, "--seed", "2",
-                 "--out", top / f"gradcheck_small_{variant}.txt")
-        _run("gradcheck", "--seed", "11", "--out", top / "gradcheck_default_full.txt")
+        # spawned workers read the thread count when they import numpy
+        saved = os.environ.get("OPENBLAS_NUM_THREADS")
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            with multiprocessing.get_context("spawn").Pool(min(2, os.cpu_count() or 1)) as pool:
+                shares = [pool.apply_async(job, (top,))
+                          for job in (_default_gradcheck, _chains_and_small_gradchecks)]
+                for share in shares:
+                    share.get()
+        except ChainError as err:
+            raise SystemExit(f"chain_digests: {err}") from None
+        finally:
+            if saved is None:
+                del os.environ["OPENBLAS_NUM_THREADS"]
+            else:
+                os.environ["OPENBLAS_NUM_THREADS"] = saved
         for path in sorted(p for p in top.rglob("*") if p.is_file()):
             out[path.relative_to(top).as_posix()] = hashlib.sha256(path.read_bytes()).hexdigest()
     return out

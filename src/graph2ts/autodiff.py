@@ -13,10 +13,12 @@ for its backward: the ReLU mask is re-derived from it there. The objective
 is five more ops: ``info_nce``, ``reparam``, ``gauss_kl``, ``mse_mean`` and
 ``weighted_sum``, so a training step records 18 ops (11 if deterministic).
 
-Conventions: all tracked values are 2-D (scalars are (1, 1), vectors are
-(1, n) or (n, 1) as noted per op). Inputs that need no gradient are wrapped
-as leaves whose ``.grad`` is never read, except the plain-array ``eps`` of
-``reparam`` and ``target`` of ``mse_mean``.
+Conventions: every op takes ``Var``s and returns one ``Var`` whose value is
+a fresh array, sharing no memory with any input. The only plain-array
+arguments are the untracked constants ``eps`` of ``reparam`` and ``target``
+of ``mse_mean``; any other input that needs no gradient enters through
+``Tape.leaf``, whose ``.grad`` is then never read. All tracked values are
+2-D: scalars are (1, 1), vectors (1, n) or (n, 1) as noted per op.
 """
 
 from __future__ import annotations
@@ -67,12 +69,8 @@ class Tape:
         # leaves are not finite-checked here: every leaf feeds some op, and op
         # outputs are guarded, so a bad leaf cannot propagate silently
         v = np.asarray(value, dtype=np.float64)
-        if v.ndim == 0:
-            v = v.reshape(1, 1)
-        elif v.ndim == 1:
-            v = v.reshape(1, -1)
-        elif v.ndim != 2:
-            raise ValueError(f"leaf must be at most 2-D, got shape {v.shape}")
+        if v.ndim != 2:
+            raise ValueError(f"leaf must be 2-D, got shape {v.shape}")
         return Var(np.ascontiguousarray(v), self)
 
     def backward(self, out: Var) -> None:
@@ -117,21 +115,13 @@ def _acc(v: Var, g: np.ndarray) -> None:
 # ops
 # ---------------------------------------------------------------------------
 
-def mlp2(
-    x: Var, w1: Var, b1: Var, w2: Var, b2: Var,
-    *, hid: np.ndarray | None = None, out: np.ndarray | None = None,
-) -> Var:
+def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
     """Two-layer block relu(x @ w1 + b1) @ w2 + b2; b1, b2 are (1, m) rows.
 
     The ReLU subgradient at 0 is 0. The pre-activation is overwritten in
     place by the post-activation, the only array kept for the backward; its
     mask ``h > 0`` is exactly the set where the pre-activation was > 0, so no
     boolean array is built in the forward.
-
-    ``hid`` (rows, hidden) and ``out`` (rows, n_out), when given, receive the
-    post-activation and the result in place of fresh arrays, with the same
-    bytes; the returned value is ``out``. They are refused on a recording
-    tape, whose backward keeps the post-activation.
     """
     hidden = w1.value.shape[1]
     if (x.value.shape[1] != w1.value.shape[0] or b1.value.shape != (1, hidden)
@@ -140,13 +130,11 @@ def mlp2(
             f"mlp2 shape mismatch: x{x.value.shape} w1{w1.value.shape} "
             f"b1{b1.value.shape} w2{w2.value.shape} b2{b2.value.shape}"
         )
-    if x.tape.recording and (hid is not None or out is not None):
-        raise ValueError("mlp2: hid/out destinations need a non-recording tape")
-    h = np.matmul(x.value, w1.value, out=hid)
+    h = x.value @ w1.value
     h += b1.value
     _check_finite(h, "mlp2")  # before the ReLU, which would map NaN to 0
     np.maximum(h, 0.0, out=h)
-    y = np.matmul(h, w2.value, out=out)
+    y = h @ w2.value
     y += b2.value
 
     def backward(g):
@@ -180,7 +168,7 @@ def l2_normalize_rows(x: Var) -> Var:
     return _out(x.tape, y, "l2_normalize_rows", backward)
 
 
-def sort_rows(x: Var) -> tuple[Var, np.ndarray]:
+def sort_rows(x: Var) -> Var:
     """Sort each row ascending (stable); backward scatters through the permutation."""
     perm = np.argsort(x.value, axis=1, kind="stable")
     rows = np.arange(x.value.shape[0])[:, None]
@@ -190,7 +178,7 @@ def sort_rows(x: Var) -> tuple[Var, np.ndarray]:
         back[rows, perm] = g  # perm rows are permutations: no collisions
         _acc(x, back)
 
-    return _out(x.tape, x.value[rows, perm], "sort_rows", backward), perm
+    return _out(x.tape, x.value[rows, perm], "sort_rows", backward)
 
 
 def concat_cols(a: Var, b: Var) -> Var:

@@ -180,6 +180,8 @@ def cmd_generate(args) -> int:
 
 def cmd_eval(args) -> int:
     config, _ = resolve_config(args)
+    if args.checkpoint and not args.embeddings_dir:
+        raise ValueError("--checkpoint is read only with --embeddings-dir")
     real = fileio.read_windows(args.real)
     synth = fileio.read_windows(args.synth)
     if real.shape[1] != synth.shape[1]:
@@ -345,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--curves-dir", help="emit mean ACF/PSD curves as CSV")
     p.add_argument("--embeddings-dir", help="emit encoder embeddings (needs --checkpoint)")
-    p.add_argument("--checkpoint")
+    p.add_argument("--checkpoint", help="read only with --embeddings-dir")
     _add_config_flags(p, ("seed",))
     p.set_defaults(func=cmd_eval)
 
@@ -377,7 +379,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, RuntimeError, FloatingPointError) as err:
+    except (ValueError, OSError, RuntimeError, FloatingPointError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -102,8 +102,9 @@ class TrainConfig:
         for name in ("w_align", "w_recon", "w_dist", "beta_max", "lr"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be finite and non-negative")
-        if self.kl_warmup_epochs < 0:
-            raise ValueError("kl_warmup_epochs must be non-negative")
+        for name in ("kl_warmup_epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
 
@@ -157,8 +158,8 @@ def init_params(config: TrainConfig, rng: np.random.Generator) -> dict[str, np.n
     return params
 
 
-def _mlp2(p: dict[str, Var], prefix: str, x: Var, **dest: np.ndarray | None) -> Var:
-    return ad.mlp2(x, *(p[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")), **dest)
+def _mlp2(p: dict[str, Var], prefix: str, x: Var) -> Var:
+    return ad.mlp2(x, *(p[f"{prefix}.{k}"] for k in ("w1", "b1", "w2", "b2")))
 
 
 def encode_ts(p: dict[str, Var], x: Var) -> Var:
@@ -195,15 +196,9 @@ def _decoder_input(g_raw: Var, z: Var | None, variant: str) -> Var:
     return ad.concat_cols(g_raw, z)
 
 
-def decode(
-    p: dict[str, Var], inp: Var,
-    *, hid: np.ndarray | None = None, out: np.ndarray | None = None,
-) -> Var:
-    """Windows from an assembled decoder input; linear output layer.
-
-    ``hid`` and ``out`` are the optional destinations of :func:`ad.mlp2`.
-    """
-    return _mlp2(p, "dec", inp, hid=hid, out=out)
+def decode(p: dict[str, Var], inp: Var) -> Var:
+    """Windows from an assembled decoder input; linear output layer."""
+    return _mlp2(p, "dec", inp)
 
 
 def conditioning_graphs(config: TrainConfig, graphs: np.ndarray) -> np.ndarray:
@@ -236,8 +231,7 @@ def loss_dist(x_hat: Var, x: np.ndarray) -> Var:
     The sort permutation is a constant of the backward pass; gradients scatter
     back through it to the positions the sorted values came from.
     """
-    sorted_hat, _ = ad.sort_rows(x_hat)
-    return ad.mse_mean(sorted_hat, np.sort(x, axis=1))
+    return ad.mse_mean(ad.sort_rows(x_hat), np.sort(x, axis=1))
 
 
 def loss_kl(mu: Var, logvar: Var) -> Var:
@@ -396,11 +390,10 @@ class Graph2TS:
         rows of one full-size product for every layer shape tried, while a
         one-row product takes gemv and may round differently.
 
-        A call allocates three arrays and reuses them for every block: the
-        decoder input, whose left columns take each graph's embedding by
-        broadcast and whose right columns take the latents; a scratch that
-        takes the latent draw and then the hidden layer; and the result, into
-        whose rows each block's decode writes directly.
+        Two arrays serve every block of a call: the decoder input, whose left
+        columns take each graph's embedding by broadcast and whose right
+        columns take the latents, and the result, into whose rows each
+        block's decoded windows are copied.
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
@@ -414,26 +407,21 @@ class Graph2TS:
         rng = np.random.default_rng(seed)
         n_graphs, embed = g_raw.value.shape
         latent = self.config.latent_dim
-        hidden = self.params["dec.w1"].shape[1]
         rows = n_graphs * n_per_graph
         # at most one block per graph, and >= 2 rows per block unless rows == 1
         n_blocks = max(1, min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, rows // 2))
         parts = np.array_split(g_raw.value, n_blocks)
         most = parts[0].shape[0]  # array_split puts the larger parts first
         inp = np.empty((most, n_per_graph, embed + latent))
-        scratch = np.empty(most * n_per_graph * max(latent, hidden))
         result = np.empty((rows, self.config.window_length))
         lo = 0
         for part in parts:
             nb = part.shape[0]
             n = nb * n_per_graph
-            x = inp[:nb].reshape(n, embed + latent)
             inp[:nb, :, :embed] = part[:, None, :]
-            eps = scratch[: n * latent].reshape(n, latent)
-            rng.standard_normal(out=eps)
-            x[:, embed:] = eps
-            decode(p, Var(x, tape), hid=scratch[: n * hidden].reshape(n, hidden),
-                   out=result[lo : lo + n])
+            inp[:nb, :, embed:] = rng.standard_normal((nb, n_per_graph, latent))
+            x = tape.leaf(inp[:nb].reshape(n, embed + latent))
+            result[lo : lo + n] = decode(p, x).value
             lo += n
         return result
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,29 +161,6 @@ class TestMlp2:
         plain = np.maximum(x @ p["w1"] + p["b1"], 0.0) @ p["w2"] + p["b2"]
         assert np.array_equal(y.value, plain)
 
-    def test_destinations_same_bytes_in_place(self, rng):
-        p = _mlp2_params(rng, 5, 7, 3)
-        x = rng.standard_normal((6, 5))
-        t = Tape(record=False)
-        ws = [t.leaf(p[k]) for k in ("w1", "b1", "w2", "b2")]
-        fresh = ad.mlp2(t.leaf(x), *ws).value
-        hid = np.full((6, 7), np.nan)
-        out = np.full((8, 3), np.nan)  # rows 2..7 of a larger result
-        y = ad.mlp2(t.leaf(x), *ws, hid=hid, out=out[2:])
-        assert np.shares_memory(y.value, out)
-        assert np.array_equal(out[2:], fresh)
-        assert np.isnan(out[:2]).all()
-        assert np.array_equal(hid, np.maximum(x @ p["w1"] + p["b1"], 0.0))
-
-    @pytest.mark.parametrize("dest", ["hid", "out"])
-    def test_destinations_refused_on_recording_tape(self, rng, dest):
-        p = _mlp2_params(rng, 2, 3, 2)
-        t = Tape()
-        ws = [t.leaf(p[k]) for k in ("w1", "b1", "w2", "b2")]
-        buf = np.empty((4, 3 if dest == "hid" else 2))
-        with pytest.raises(ValueError, match="non-recording tape"):
-            ad.mlp2(t.leaf(np.ones((4, 2))), *ws, **{dest: buf})
-
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_pre_activation_raises(self):
         # inf - inf = NaN before the ReLU, which would silently map it to 0
@@ -282,16 +261,26 @@ class TestL2Normalize:
 
 
 class TestSort:
+    @staticmethod
+    def _rank_grad(row):
+        # d sum_j (j + 1) sorted[j] / dx: each position's 1-based sorted rank
+        t = Tape()
+        x = t.leaf([row])
+        s = ad.sort_rows(x)
+        n = len(row)
+        t.backward(ad.weighted_sum([ad.slice_cols(s, j, j + 1) for j in range(n)],
+                                   [float(j + 1) for j in range(n)]))
+        return s.value, x.grad
+
     def test_forward_and_perm(self):
-        t = Tape(record=False)
-        s, perm = ad.sort_rows(t.leaf([[3.0, 1.0, 2.0]]))
-        assert np.array_equal(s.value, [[1.0, 2.0, 3.0]])
-        assert np.array_equal(perm, [[1, 2, 0]])
+        s, ranks = self._rank_grad([3.0, 1.0, 2.0])
+        assert np.array_equal(s, [[1.0, 2.0, 3.0]])
+        assert np.array_equal(ranks, [[3.0, 1.0, 2.0]])
 
     def test_sum_grad_is_ones(self):
         t = Tape()
         x = t.leaf([[3.0, 1.0, 2.0, 0.0]])
-        s, _ = ad.sort_rows(x)
+        s = ad.sort_rows(x)
         t.backward(_ones_sink(s))
         assert np.array_equal(x.grad, [[1.0, 1.0, 1.0, 1.0]])
 
@@ -299,7 +288,7 @@ class TestSort:
         # d sorted[0] / dx = indicator of the argmin position
         t = Tape()
         x = t.leaf([[3.0, 1.0, 2.0]])
-        s, _ = ad.sort_rows(x)
+        s = ad.sort_rows(x)
         t.backward(ad.weighted_sum([ad.slice_cols(s, 0, 1)], [1.0]))
         assert np.array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
@@ -308,15 +297,15 @@ class TestSort:
         target = np.sort(rng.standard_normal((2, 8)), axis=1)
 
         def f(p):
-            s, _ = ad.sort_rows(p["x"])
+            s = ad.sort_rows(p["x"])
             return ad.mse_mean(s, target)
 
         _assert_match(f, {"x": x})
 
     def test_stable_ties(self):
-        t = Tape(record=False)
-        _, perm = ad.sort_rows(t.leaf([[1.0, 1.0, 0.0]]))
-        assert np.array_equal(perm, [[2, 0, 1]])
+        # equal values keep their input order: the first 1.0 takes rank 2
+        _, ranks = self._rank_grad([1.0, 1.0, 0.0])
+        assert np.array_equal(ranks, [[2.0, 3.0, 1.0]])
 
 
 class TestMiscOps:
@@ -432,6 +421,46 @@ class TestTapeMechanics:
         with pytest.raises(ValueError):
             t2.backward(x)
 
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3, 4)])
+    def test_leaf_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"leaf must be 2-D, got shape {shape}")):
+            Tape().leaf(np.ones(shape))
+
+
+# one call per op of autodiff.__all__, from a Var maker ``v`` and a plain-array
+# maker ``a``; slice_cols, clamp and weighted_sum are given their identity cases
+_OP_ARGS = {
+    "mlp2": lambda v, a: [v(3, 4), v(4, 5), v(1, 5), v(5, 2), v(1, 2)],
+    "l2_normalize_rows": lambda v, a: [v(3, 4)],
+    "sort_rows": lambda v, a: [v(3, 4)],
+    "concat_cols": lambda v, a: [v(3, 4), v(3, 2)],
+    "slice_cols": lambda v, a: [v(3, 4), 0, 4],
+    "clamp": lambda v, a: [v(3, 4), -10.0, 10.0],
+    "info_nce": lambda v, a: [v(3, 4), v(3, 4), v(1, 1)],
+    "reparam": lambda v, a: [v(3, 4), v(3, 4), a(3, 4)],
+    "gauss_kl": lambda v, a: [v(3, 4), v(3, 4)],
+    "mse_mean": lambda v, a: [v(1, 1), a(1, 1)],
+    "weighted_sum": lambda v, a: [[v(1, 1)], [1.0]],
+}
+
+
+class TestOpConvention:
+    def test_table_names_every_op(self):
+        assert sorted(_OP_ARGS) == sorted(set(ad.__all__) - {"Tape", "Var", "grad_check"})
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("op", sorted(_OP_ARGS))
+    def test_returns_one_fresh_var(self, rng, op, record):
+        t = Tape(record=record)
+        args = _OP_ARGS[op](lambda *s: t.leaf(rng.standard_normal(s)),
+                            lambda *s: rng.standard_normal(s))
+        out = getattr(ad, op)(*args)
+        assert isinstance(out, ad.Var) and out.tape is t
+        flat = [x for arg in args for x in (arg if isinstance(arg, list) else [arg])]
+        inputs = [x.value if isinstance(x, ad.Var) else x for x in flat
+                  if isinstance(x, (ad.Var, np.ndarray))]
+        assert inputs and not any(np.shares_memory(out.value, x) for x in inputs)
+
 
 class TestGradCheck:
     def test_quadratic_exact(self, rng):
@@ -499,7 +528,7 @@ class TestGradCheck:
             yield ad.mse_mean(ad.l2_normalize_rows(
                 ad.concat_cols(x, x.tape.leaf(np.full((3, 2), 3.0)))), np.ones((3, 6)))
             yield ad.mse_mean(ad.clamp(x, -0.5, 0.5), c)
-            s, _ = ad.sort_rows(x)
+            s = ad.sort_rows(x)
             yield ad.mse_mean(s, np.zeros((3, 4)))
             yield ad.mse_mean(ad.slice_cols(ad.concat_cols(x, x), 2, 6), c)
             yield ad.info_nce(x, x, x.tape.leaf([[0.0]]))
@@ -535,7 +564,7 @@ class TestGradCheck:
             def f(p):
                 e = _mlp2_of(p, p["w1"].tape.leaf(x))
                 en = ad.l2_normalize_rows(e)
-                srt, _ = ad.sort_rows(e)
+                srt = ad.sort_rows(e)
                 mu = ad.slice_cols(e, 0, 1)
                 lv = ad.clamp(ad.slice_cols(e, 1, 2), -2.0, 2.0)
                 z = ad.reparam(mu, lv, eps)
@@ -750,7 +779,7 @@ class TestLossOpsMatchChains:
         target = np.sort(rng.standard_normal((n, 5)), axis=1)
 
         def build(ops, p):
-            s, _ = ad.sort_rows(p["a"])
+            s = ad.sort_rows(p["a"])
             return ops.mse_mean(s, target), [s]
 
         assert self._compare(build, arrays) == (2, 4)

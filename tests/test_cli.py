@@ -483,13 +483,55 @@ class TestRejectedInputs:
         taken.write_text("not a directory\n")
         out = tmp_path / "metrics.txt"
         capsys.readouterr()
+        ckpt = ("--checkpoint", rundir / "checkpoint.g2ts") if flag == "--embeddings-dir" else ()
         rc = run("eval", "--real", rundir / "eval_windows.txt",
-                 "--synth", rundir / "eval_windows.txt", "--out", out, flag, taken,
-                 "--checkpoint", rundir / "checkpoint.g2ts")
+                 "--synth", rundir / "eval_windows.txt", "--out", out, flag, taken, *ckpt)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(taken) in err
+        assert not out.exists()
+
+    def test_eval_checkpoint_without_embeddings_dir(self, tmp_path, capsys):
+        real = tmp_path / "real.txt"
+        fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))
+        out = tmp_path / "metrics.txt"
+        rc = run("eval", "--real", real, "--synth", real, "--out", out,
+                 "--checkpoint", tmp_path / "no" / "such.g2ts")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: --checkpoint is read only with --embeddings-dir\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "generate", "eval", "gradcheck", "file"])
+    def test_negative_seed_names_the_key(self, tmp_path, capsys, command):
+        # refused by TrainConfig before any input is read, so none need exist
+        missing, out = tmp_path / "missing.txt", tmp_path / "out.txt"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = -1\n")
+        argv = {
+            "train": ["train", "--windows", missing, "--outdir", out, "--seed=-1"],
+            "generate": ["generate", "--checkpoint", missing, "--graphs", missing,
+                         "--out", out, "--seed=-1"],
+            "eval": ["eval", "--real", missing, "--synth", missing, "--out", out, "--seed=-1"],
+            "gradcheck": ["gradcheck", "--out", out, "--seed=-1"],
+            "file": ["train", "--windows", missing, "--outdir", out, "--config", cfg],
+        }[command]
+        assert run(*argv) == 2
+        where = f"{cfg}: " if command == "file" else ""
+        assert capsys.readouterr().err == f"error: {where}seed must be non-negative\n"
+        assert not out.exists()
+
+    def test_generate_allocation_failure(self, tmp_path, capsys):
+        # numpy refuses a request this large without touching memory
+        _, rundir = _train_small(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "s.txt"
+        rc = run("generate", "--checkpoint", rundir / "checkpoint.g2ts",
+                 "--graphs", rundir / "eval_graphs.txt", "--out", out,
+                 "--n-per-graph", 10**12)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
         assert not out.exists()
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import graph2ts.model as model_mod
-from graph2ts.autodiff import Tape, Var
+from graph2ts.autodiff import Tape
 from graph2ts.dataset import split, synth_generate
 from graph2ts.model import (
     TrainConfig,
@@ -109,8 +109,8 @@ class TestDecode:
     def test_full_depends_on_z(self, small_params, rng):
         tape, p = _leaves(small_params)
         g_raw = encode_graph(p, tape.leaf(rng.random((2, 100))))
-        z1 = Var(rng.standard_normal((2, 4)), tape)
-        z2 = Var(rng.standard_normal((2, 4)), tape)
+        z1 = tape.leaf(rng.standard_normal((2, 4)))
+        z2 = tape.leaf(rng.standard_normal((2, 4)))
         a = decode(p, _decoder_input(g_raw, z1, "full")).value
         b = decode(p, _decoder_input(g_raw, z2, "full")).value
         assert a.shape == (2, 32)
@@ -411,7 +411,7 @@ class TestNoGraphVariant:
         g_raw = encode_graph(p, tape.leaf(np.tile(
             identity_graph(cfg.n_states).reshape(1, -1), (4, 1))))
         z = np.random.default_rng(0).standard_normal((1, cfg.latent_dim))
-        out = decode(p, _decoder_input(g_raw, Var(np.tile(z, (4, 1)), tape), "no_graph")).value
+        out = decode(p, _decoder_input(g_raw, tape.leaf(np.tile(z, (4, 1))), "no_graph")).value
         assert np.array_equal(out[0], out[2])
 
 
@@ -450,10 +450,10 @@ class TestGenerate:
         tape = Tape(record=False)
         p = {k: tape.leaf(v) for k, v in model.params.items()}
         g_raw = encode_graph(p, tape.leaf(graphs))
-        rep = Var(np.repeat(g_raw.value, n_per_graph, axis=0), tape)
+        rep = tape.leaf(np.repeat(g_raw.value, n_per_graph, axis=0))
         eps = np.random.default_rng(seed).standard_normal(
             (rep.value.shape[0], model.config.latent_dim))
-        return decode(p, _decoder_input(rep, Var(eps, tape), model.config.variant)).value
+        return decode(p, _decoder_input(rep, tape.leaf(eps), model.config.variant)).value
 
     # (graphs, n_per_graph, block rows); 21 x 1 in blocks of 5 would leave a
     # 1-row tail under a fixed-size split
@@ -467,9 +467,9 @@ class TestGenerate:
         rows = []
         decode_fn = model_mod.decode
 
-        def recording_decode(p, inp, *, hid=None, out=None):
+        def recording_decode(p, inp):
             rows.append(inp.value.shape[0])
-            return decode_fn(p, inp, hid=hid, out=out)
+            return decode_fn(p, inp)
 
         monkeypatch.setattr(model_mod, "decode", recording_decode)
         out = model.generate(graphs[:n_graphs], n_per_graph=n_per_graph, seed=11)
@@ -525,6 +525,11 @@ class TestConfigValidation:
         # NaN passes a bare `< 0` check
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["kl_warmup_epochs", "seed"])
+    def test_negative_count_rejected(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+            TrainConfig(**{name: -1})
 
     @pytest.mark.parametrize("name, value", [
         ("epochs", 2.0), ("epochs", True), ("lr", False), ("lr", "0.1"), ("variant", 1),
