@@ -23,7 +23,8 @@ default-width ``gradcheck`` (about 30 s) runs in one ``spawn`` worker and
 everything else in another, each with one OpenBLAS thread; one thread gives
 the same bytes as two, and on one CPU both shares run in turn in one worker.
 The output starts with a header line that names the environment (python,
-numpy, the BLAS build and the OpenBLAS core it runs on), then each artifact
+numpy, the BLAS build, the OpenBLAS core it runs on and numpy's SIMD dispatch
+targets on this CPU), then each artifact
 gives one ``sha256  path`` line, with the path relative to the run directory.
 Two source trees produce the same bytes exactly when the outputs are equal:
 
@@ -34,7 +35,8 @@ Two source trees produce the same bytes exactly when the outputs are equal:
 committed ``scripts/digests.sha256``. It exits 0 when every digest matches and
 1 after naming each artifact that differs, is missing or is new. It exits 2
 without running anything when the file's header names another environment,
-since the bytes of another BLAS build or core are not comparable.
+since the bytes of another BLAS build, BLAS core or SIMD target set are not
+comparable.
 
 Each corpus is also trained once more with the ``TRAIN`` settings read from a
 ``--config`` file instead of flags. The script exits non-zero unless that run's
@@ -154,9 +156,13 @@ def _openblas_core() -> str:
 
 
 def environment_header() -> str:
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    # numpy's dispatched loops (such as the kurtosis's ``x ** 4``) round by target
+    simd = ",".join(config["SIMD Extensions"]["found"]) or "none"
     return (f"{HEADER} python={platform.python_version()} numpy={np.__version__} "
-            f"blas={blas.get('name')}-{blas.get('version')} openblas_core={_openblas_core()}")
+            f"blas={blas.get('name')}-{blas.get('version')} openblas_core={_openblas_core()} "
+            f"simd={simd}")
 
 
 def _default_gradcheck(top: Path) -> None:

@@ -3,74 +3,98 @@
 Every distance result equals the brute-force reference, the squared distance
 ``fl(d_ij) = ((a[i] - b[j]) ** 2).sum()``, bit for bit: identical rows give
 exactly 0.0 and medoid ties go to the lowest index. The O(n m) work runs
-through BLAS and only proposes candidates; the reference value is recomputed
-for the candidates alone.
+through BLAS in float32 and only proposes candidates; the reference value is
+recomputed in float64 for the candidates alone.
 
-Candidates. One chunked pass computes ``g_ij = |b_j|^2 - 2 a_i.b_j`` as a
-single matrix product of augmented operands, ``[a_i | 1] . [-2 b_j | nb2_j]``,
-with ``nb2_j`` the computed squared norm of ``b_j`` (scaling by -2 is exact).
-The medoid's pass appends ``na2_i`` on the left and a 1 on the right, so its
-product is ``D_ij = na2_i + nb2_j - 2 a_i.b_j`` directly. No sweep adds the
-norms afterwards. Each row ``i`` carries a bound ``err_i`` with
-``|g_ij + |a_i|^2 - fl(d_ij)| <= err_i`` and ``|D_ij - fl(d_ij)| <= err_i``
-for every ``j``.
+Candidates. One chunked pass computes ``D_ij = na2_i + nb2_j - 2 A_i.B_j`` as
+a single matrix product of augmented operands, ``[A_i | 1 | na2_i] .
+[-2 B_j | nb2_j | 1]``, with ``na2_i``, ``nb2_j`` the computed squared norms
+of ``A_i``, ``B_j`` (scaling by -2 is exact). The operands are the rows
+centered and scaled before the cast to the pass's working precision:
+``A_i = fl_w(s fl(a_i - c))`` and ``B_j = fl_w(s fl(b_j - c))``, with ``c``
+the float64 mean of the finite rows of ``b`` and ``s`` a power of two. No
+sweep adds the norms afterwards. Each row ``i`` carries a bound ``err_i`` with
+``|D_ij - s^2 fl(d_ij)| <= err_i`` for every ``j``.
 
-* Min kernels. If ``j*`` minimizes ``fl(d_ij)`` and ``k`` minimizes ``g_ij``,
-  then ``g_ij* + |a_i|^2 <= fl(d_ij*) + err_i <= fl(d_ik) + err_i <=
-  g_ik + |a_i|^2 + 2 err_i``: the row constant ``|a_i|^2`` cancels, and the
-  pairs with ``g_ij <= g_ik + 2 err_i`` hold every minimizer. The pass takes
-  ``k`` by ``argmin`` and the smallest ``g_ij`` over ``j != k``. If that
-  runner-up exceeds the bound, ``k`` is the row's only candidate. Otherwise
-  (an exact tie, a near-tie, or a NaN, since ``NaN > x`` is false) the row
-  takes every pair with ``not g_ij > g_ik + 2 err_i``, so a NaN row keeps
-  every pair. The result is the minimum of the recomputed ``fl(d_ij)`` over
-  the candidates. With the row itself excluded, its own pair is set to
-  ``inf`` first and never counts as a candidate.
+* Min kernels. If ``j*`` minimizes ``fl(d_ij)`` and ``k`` minimizes ``D_ij``,
+  then ``D_ij* <= s^2 fl(d_ij*) + err_i <= s^2 fl(d_ik) + err_i <= D_ik +
+  2 err_i``, so the pairs with ``D_ij <= D_ik + 2 err_i`` hold every
+  minimizer. The pass takes ``k`` by ``argmin`` and the smallest ``D_ij``
+  over ``j != k``. If that runner-up exceeds the bound, ``k`` is the row's
+  only candidate. Otherwise (an exact tie, a near-tie, or a NaN, since
+  ``NaN > x`` is false) the row takes every pair with ``not D_ij > D_ik +
+  2 err_i``, so a NaN row keeps every pair. The result is the minimum of the
+  recomputed ``fl(d_ij)`` over the candidates. With the row itself excluded,
+  its own pair is set to ``inf`` first and never counts as a candidate.
 * Medoid. ``|sqrt x - sqrt y| <= sqrt|x - y|`` puts each term
-  ``sqrt(max(D_ij, 0))`` within ``sqrt(err_i)`` of the reference term. With
-  the rounding of both square roots and of both n-term sums, the approximate
-  row sum ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1) u S_i`` of
-  the reference sum. Rows with ``S_i - slack_i <= min_k (S_k + slack_k)``
-  hold every minimizer; they are re-summed exactly and the lowest index
-  among the exact minima wins. The pass covers only the upper trapezoid:
-  chunk ``[lo, hi)`` meets the rows ``j >= lo``, and an entry with ``j >= hi``
-  is added to row ``j``'s sum as well as to row ``i``'s. It serves row ``j``
+  ``sqrt(max(D_ij, 0))`` within ``sqrt(err_i)`` of the reference term (scaled
+  by ``s``). The square roots and the n-term row sums round by at most ``u_w``
+  per operation, in any order, and the reference's by ``u <= u_w``, so the
+  approximate row sum ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1)
+  u_w S_i`` of ``s`` times the reference sum; the code doubles it like the
+  bound (once ``4 (n + 1) u_w`` reaches 1, the slack exceeds every sum and
+  every row is kept). Rows with ``S_i - slack_i <= min_k (S_k + slack_k)`` hold every
+  minimizer. Stage 1 is a float32 pass over the upper trapezoid: chunk
+  ``[lo, hi)`` meets the rows ``j >= lo``, and an entry with ``j >= hi`` is
+  added to row ``j``'s sum as well as to row ``i``'s. It serves row ``j``
   within ``err_j``: the reference is symmetric (``a_j - a_i`` is the exact
-  negation of ``a_i - a_j``, so ``fl(d_ji) = fl(d_ij)``), and ``|a_i| <= B``
+  negation of ``a_i - a_j``, so ``fl(d_ji) = fl(d_ij)``), and ``|X_i| <= R``
   keeps the pair's error within ``err_j`` (see below). A row sum accumulated
   from partial sums, in any order, is still an n-term sum, so the slack
-  covers it.
+  covers it. Stage 2 is the same form in float64 (``u_w = u``) over the
+  stage-1 rows against all rows, and keeps the rows within its slack of the
+  least of their sums. Those rows are re-summed exactly and the lowest index
+  among the exact minima wins.
 
-The bound. With ``u = 2**-53``, ``gamma_k = k u / (1 - k u)``, ``T`` the row
-length and ``B = max_j |b_j|``, the standard bounds (Higham, *Accuracy and
-Stability of Numerical Algorithms*, ch. 3) hold for any summation order, and
-so for any blocking or FMA use in a conventional BLAS product:
+The bound. Let ``u = 2**-53``, ``u_w`` the working unit roundoff (``2**-24``
+in float32), ``tiny`` and ``tiny_w`` the smallest normal numbers of float64
+and of the working precision, ``gamma_k = k u_w / (1 - k u_w)``, ``T`` the
+row length, ``x_i = a_i - c`` and ``y_j = b_j - c`` exactly (so ``d_ij =
+|x_i - y_j|^2``), ``X_i = s x_i``, ``Y_j = s y_j``, ``Q_ij = |X_i| + |Y_j|``
+and ``R = max_j |Y_j|``. The standard bounds (Higham, *Accuracy and Stability
+of Numerical Algorithms*, ch. 3) hold for any summation order, and so for any
+blocking or FMA use in a conventional BLAS product:
 
-* each computed squared norm is ``nb2_j = |b_j|^2 (1 + t_j)`` with
-  ``|t_j| <= gamma_T``, and likewise ``na2_i``;
-* a K-term product ``x.y`` is within ``gamma_K sum_k |x_k y_k|``. For ``D``
-  (``K = T + 2``) that sum is at most ``2 |a_i||b_j| + na2_i + nb2_j``
-  (Cauchy-Schwarz), and the exact ``na2_i + nb2_j - 2 a_i.b_j`` is within
-  ``gamma_T (|a_i|^2 + |b_j|^2)`` of ``d_ij``. With ``nb2_j <= (1 + gamma_T)
-  |b_j|^2`` and ``gamma_j + gamma_k + gamma_j gamma_k <= gamma_{j+k}``, the
-  computed ``D_ij`` is within ``gamma_{2T+2} (|a_i| + |b_j|)^2`` of ``d_ij``.
-  ``g_ij`` (``K = T + 1``, no ``na2_i``) gives ``g_ij + |a_i|^2`` within
-  ``gamma_{2T+1} (|a_i| + |b_j|)^2`` of ``d_ij`` the same way;
+* centering and conversion: ``fl(a_ik - c_k)`` is within ``u |x_ik|`` of
+  ``x_ik``, scaling by ``s`` is exact or underflows by less than ``tiny_w``,
+  and the cast rounds by ``u_w`` relative plus ``tiny_w`` absolute where it
+  underflows. So ``|A_i - X_i| <= rho |X_i|
+  + sqrt(T) tiny_w`` with ``rho = u_w + u + u_w u``;
+* the product: each computed squared norm is ``nb2_j = |B_j|^2 (1 + t_j)``
+  with ``|t_j| <= gamma_T``, and a K-term product ``x.y`` is within
+  ``gamma_K sum_k |x_k y_k|``. For ``D`` (``K = T + 2``) that sum is at most
+  ``2 |A_i||B_j| + na2_i + nb2_j`` (Cauchy-Schwarz), and with
+  ``gamma_j + gamma_k + gamma_j gamma_k <= gamma_{j+k}`` the computed ``D_ij``
+  is within ``gamma_{2T+2} (|A_i| + |B_j|)^2`` of ``|A_i - B_j|^2``, plus
+  ``3 T tiny_w`` for the products and squares that underflow;
+* with ``e = rho Q_ij + 2 sqrt(T) tiny_w``, the triangle inequality puts
+  ``|A_i - B_j|^2`` within ``e (2 Q_ij + e)`` of ``s^2 d_ij``;
 * the reference rounds the difference, the square and a sum of ``T``
-  non-negative terms: ``|fl(d_ij) - d_ij| <= gamma_{T+2} d_ij <=
-  gamma_{T+2} (|a_i| + |b_j|)^2``.
+  non-negative terms: ``|fl(d_ij) - d_ij| <= gamma_{T+2} d_ij + T tiny``
+  (with ``u`` in ``gamma``), and ``s^2 d_ij <= Q_ij^2``.
 
-Hence the gap to ``fl(d_ij)`` is at most ``gamma_{3T+4} (|a_i| + B)^2`` for
-both forms; for ``b = a`` the bounds are symmetric in ``i`` and ``j``, and
-``|a_i| <= B`` makes the gap at most ``gamma_{3T+4} (|a_j| + B)^2`` as well.
-The code takes twice the first-order term, ``err_i = 2 (3T + 4) u (|a_i| +
-B)^2``, which covers the O(u^2) part of ``gamma_{3T+4}`` and the rounding of
-the bound itself (the computed ``(|a_i| + B)^2`` is low by a relative
-O(T u) at most) for any ``(4T + 14) u <= 1/2``. It adds ``T * tiny`` for
-products and squares that underflow; the medoid slack is doubled the same
-way. The bound only decides how many pairs are recomputed: a row far from
-the rest (large ``B``) or a large common offset widens it, which costs time,
-never exactness.
+The first-order coefficient of ``Q_ij^2`` is ``(2T + 2) u_w + 2 rho + (T + 2)
+u <= kappa = (2T + 4) u_w + (T + 5) u``. The code takes ``err_i = 2 kappa
+(|X_i| + R)^2 + 4 T (tiny_w + s^2 tiny)``. Doubling covers, for ``kappa <=
+1/8``, the O(kappa^2) terms, the cross terms ``4 sqrt(T) tiny_w Q_ij <=
+kappa Q_ij^2 / 2 + 8 T tiny_w^2 / kappa`` (the last is far below ``tiny_w``),
+and the rounding of the computed norms and of the bound itself; past
+``kappa = 1/8`` (``T`` near ``2**20`` in float32) ``err`` is infinite and
+every pair is recomputed. For ``b = a`` the bound is symmetric in ``i`` and
+``j``, and ``|X_i| <= R`` makes it at most ``err_j`` as well.
+
+Centering and scaling. ``s`` puts every finite centered value below
+``2**30 / sqrt(T)``, so a finite row's norm stays below ``2**30`` and no
+operand, norm or ``D_ij`` (below ``2**62``) overflows float32, while inputs
+from ``1e-30`` to ``1e30`` keep their relative precision. The norms in
+``err`` are taken in float64 from the scaled values. Centering makes ``Q_ij``
+the spread of the rows about their mean rather than their distance from the
+origin: a large common offset would otherwise widen ``err`` past the gaps
+between distances and make every pair a candidate. A row holding a NaN or an
+infinity, or any such row in ``b``, gets a NaN or infinite ``err`` and keeps
+every pair; so does every row where the reference's squares could pass
+float64's range. The bound only decides how many pairs are recomputed: a row
+far from the rest (large ``R``) widens it, which costs time, never exactness.
 """
 
 from __future__ import annotations
@@ -86,52 +110,75 @@ __all__ = [
     "transition_counts",
 ]
 
-# values per temporary: a (rows, m) chunk of g, or a (pairs, T) re-check slice;
-# 2M float64 values are 16 MB
+# values per temporary: a (rows, m) chunk of D, or a (pairs, T) re-check slice;
+# 2M values are 8 MB in float32 and 16 MB in float64
 _CHUNK_BUDGET = 2_000_000
 
 _U = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
 
 
-def _gram_chunks(
-    a: np.ndarray, b: np.ndarray, upper: bool = False
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
-    """Yield ``(lo, hi, g, err)`` with ``g[i - lo, j] = |b_j|^2 - 2 a[i].b[j]``
-    from one BLAS product of augmented operands and ``err[i - lo]`` the row's
-    bound (module docstring).
+def _finite_peak(x: np.ndarray) -> float:
+    """The largest finite magnitude in ``x``, or 0.0."""
+    return float(np.abs(x[np.isfinite(x)]).max(initial=0.0))
 
-    ``upper`` (with ``b`` being ``a``) is the medoid's pass: ``g`` also holds
-    ``|a_i|^2``, so it is ``D``, and only the columns ``j >= lo`` are yielded,
-    so ``g[i - lo, j - lo]`` holds the pair and the chunks tile the upper
-    trapezoid.
+
+def _gram_chunks(
+    a: np.ndarray, b: np.ndarray, dtype: type, upper: bool = False
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    """Yield ``(lo, hi, d, err)`` with ``d[i - lo, j]`` approximating ``s**2``
+    times the squared distance of ``a[i]`` and ``b[j]``, from one ``dtype``
+    BLAS product of centered, scaled and augmented operands, and
+    ``err[i - lo]`` the row's bound (module docstring).
+
+    ``upper`` (with ``b`` being ``a``) is the medoid's pass: only the columns
+    ``j >= lo`` are yielded, so ``d[i - lo, j - lo]`` holds the pair and the
+    chunks tile the upper trapezoid.
     """
     if not (a.ndim == b.ndim == 2 and a.size and b.size and a.shape[1] == b.shape[1]):
         raise ValueError("distance kernels need two non-empty 2-D sets of one width, "
                          f"got shapes {a.shape} and {b.shape}")
     n, t = a.shape
     m = b.shape[0]
-    nb2 = (b * b).sum(axis=1)
-    na2 = nb2 if b is a else (a * a).sum(axis=1)
-    err = 2 * (3 * t + 4) * _U * (np.sqrt(na2) + np.sqrt(nb2.max())) ** 2 + t * _TINY
-    # [a | 1 (| na2)] and [-2b | nb2 (| 1)]^T: the product carries the norms
-    width = t + 2 if upper else t + 1
-    left = np.ones((n, width))
-    left[:, :t] = a
-    right = np.ones((width, m))
-    np.multiply(b.T, -2.0, out=right[:t])
-    right[t] = nb2
-    if upper:
-        left[:, t + 1] = na2
+    finite = np.isfinite(b).all(axis=1)
+    center = b[finite].mean(axis=0) if finite.any() else np.zeros(t)
+    xb = b - center
+    xa = xb if b is a else a - center
+    # s = 2**k puts every finite centered value below 2**30 / sqrt(T)
+    e = int(np.frexp(max(_finite_peak(xa), _finite_peak(xb)))[1])
+    s = 2.0 ** min(500, 30 - e - (t.bit_length() + 1) // 2)
+    xb *= s
+    if b is not a:
+        xa *= s
+    na2 = (xa * xa).sum(axis=1)
+    nb2 = na2 if b is a else (xb * xb).sum(axis=1)
+    info = np.finfo(dtype)
+    kappa = (2 * t + 4) * info.eps / 2 + (t + 5) * _U
+    if kappa > 0.125 or 2 * e + t.bit_length() > 1021:
+        # past the bound's premises: T near 2**20 in float32, or the
+        # reference's squares near the top of float64's range
+        err = np.full(n, np.inf)
+    else:
+        err = (2 * kappa * (np.sqrt(na2) + np.sqrt(nb2.max())) ** 2
+               + 4 * t * (info.tiny + s * s * _TINY))
+    # [A | 1 | na2] and [-2B | nb2 | 1]^T: the product carries the norms
+    left = np.ones((n, t + 2), dtype)
+    wa = left[:, :t]
+    wa[...] = xa
+    left[:, t + 1] = (wa * wa).sum(axis=1)
+    wb = wa if b is a else xb.astype(dtype, copy=False)
+    right = np.ones((t + 2, m), dtype)
+    np.multiply(wb.T, -2, out=right[:t])
+    right[t] = left[:, t + 1] if b is a else (wb * wb).sum(axis=1)
     chunk = max(1, _CHUNK_BUDGET // m)
-    # one buffer per call, so its pages fault in once; g is overwritten on resume
-    buf = np.empty(min(chunk, n) * m)
+    # one buffer per call, so its pages fault in once; d is overwritten on resume
+    buf = np.empty(min(chunk, n) * m, dtype)
     for lo in range(0, n, chunk):
         hi = min(n, lo + chunk)
         col = lo if upper else 0
-        g = buf[:(hi - lo) * (m - col)].reshape(hi - lo, m - col)
-        np.matmul(left[lo:hi], right[:, col:], out=g)
-        yield lo, hi, g, err[lo:hi]
+        d = buf[:(hi - lo) * (m - col)].reshape(hi - lo, m - col)
+        np.matmul(left[lo:hi], right[:, col:], out=d)
+        yield lo, hi, d, err[lo:hi]
 
 
 def _exact_sq_dist(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
@@ -146,26 +193,27 @@ def _exact_sq_dist(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray)
 
 def _nn_dist(a: np.ndarray, b: np.ndarray, exclude_self: bool) -> np.ndarray:
     out = np.empty(a.shape[0])
-    for lo, hi, g, err in _gram_chunks(a, b):
-        rows = np.arange(hi - lo)
-        if exclude_self:
-            g[rows, rows + lo] = np.inf
-        k = g.argmin(axis=1)
-        bound = g[rows, k] + 2 * err
-        g[rows, k] = np.inf
-        # ~(x > bound) rather than x <= bound sends NaN rows to the full mask
-        tied = np.flatnonzero(~(g.min(axis=1) > bound))
-        # every row's k, then the rest of each tied row's mask (k's g is inf now)
-        ii, jj = np.divmod(np.flatnonzero(~(g[tied] > bound[tied, None])), g.shape[1])
-        ii = np.concatenate([rows, tied[ii]])
-        jj = np.concatenate([k, jj])
-        if exclude_self:  # a row with an inf or NaN bound can propose itself
-            keep = ii + lo != jj
-            ii, jj = ii[keep], jj[keep]
-        best = np.full(hi - lo, np.inf)
-        with np.errstate(invalid="ignore"):  # a NaN row's distance is NaN, not a warning
+    # a non-finite row's distances are NaN or inf, as brute force gives them, not warnings
+    with np.errstate(invalid="ignore"):
+        for lo, hi, d, err in _gram_chunks(a, b, np.float32):
+            rows = np.arange(hi - lo)
+            if exclude_self:
+                d[rows, rows + lo] = np.inf
+            k = d.argmin(axis=1)
+            bound = d[rows, k] + 2 * err  # float64: the float32 values compare exactly
+            d[rows, k] = np.inf
+            # ~(x > bound) rather than x <= bound sends NaN rows to the full mask
+            tied = np.flatnonzero(~(d.min(axis=1) > bound))
+            # every row's k, then the rest of each tied row's mask (k's d is inf now)
+            ii, jj = np.divmod(np.flatnonzero(~(d[tied] > bound[tied, None])), d.shape[1])
+            ii = np.concatenate([rows, tied[ii]])
+            jj = np.concatenate([k, jj])
+            if exclude_self:  # a row with an inf or NaN bound can propose itself
+                keep = ii + lo != jj
+                ii, jj = ii[keep], jj[keep]
+            best = np.full(hi - lo, np.inf)
             np.minimum.at(best, ii, _exact_sq_dist(a, b, ii + lo, jj))
-        out[lo:hi] = np.sqrt(best)
+            out[lo:hi] = np.sqrt(best)
     return out
 
 
@@ -182,29 +230,44 @@ def nn_dist_excl_self(a: np.ndarray) -> np.ndarray:
     return _nn_dist(a, a, exclude_self=True)
 
 
+def _near_min(sums: np.ndarray, err: np.ndarray, n: int, dtype: type) -> np.ndarray:
+    """Indices of the ``dtype`` row sums of ``n`` terms that may hold the least
+    reference sum (module docstring)."""
+    slack = 2 * n * np.sqrt(err) + 2 * (n + 1) * np.finfo(dtype).eps * sums
+    return np.flatnonzero(~(sums - slack > (sums + slack).min()))
+
+
 def medoid_index(a: np.ndarray) -> int:
     """Index of the row minimizing the summed distance to all rows (ties: lowest)."""
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
     sums = np.zeros(n)
     err = np.empty(n)
-    # D is symmetric: each block's rows are summed into their own rows, and its
-    # columns past the block into theirs, whose rows are not yet reached
-    for lo, hi, d2, e in _gram_chunks(a, a, upper=True):
-        np.maximum(d2, 0.0, out=d2)
-        d = np.sqrt(d2, out=d2)
-        sums[lo:hi] += d.sum(axis=1)
-        sums[hi:] += d[:, hi - lo:].sum(axis=0)
-        err[lo:hi] = e
-    slack = 2 * n * np.sqrt(err) + 4 * (n + 1) * _U * sums
-    cand = np.flatnonzero(~(sums - slack > (sums + slack).min()))
-    exact = np.empty(cand.size)
-    cols = np.arange(n)
-    step = max(1, _CHUNK_BUDGET // a.size)
-    for lo in range(0, cand.size, step):
-        rows = cand[lo:lo + step]
-        d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))
-        exact[lo:lo + step] = np.sqrt(d2).reshape(rows.size, n).sum(axis=1)
+    with np.errstate(invalid="ignore"):  # as in _nn_dist
+        # stage 1, float32. D is symmetric: each block's rows are summed into
+        # their own rows, and its columns past the block into theirs, not yet reached
+        for lo, hi, d2, e in _gram_chunks(a, a, np.float32, upper=True):
+            np.maximum(d2, 0, out=d2)
+            d = np.sqrt(d2, out=d2)
+            sums[lo:hi] += d.sum(axis=1)
+            sums[hi:] += d[:, hi - lo:].sum(axis=0)
+            err[lo:hi] = e
+        cand = _near_min(sums, err, n, np.float32)
+        # stage 2, float64: the stage-1 rows against all rows
+        sums = np.empty(cand.size)
+        err = np.empty(cand.size)
+        for lo, hi, d2, e in _gram_chunks(a[cand], a, np.float64):
+            np.maximum(d2, 0, out=d2)
+            sums[lo:hi] = np.sqrt(d2, out=d2).sum(axis=1)
+            err[lo:hi] = e
+        cand = cand[_near_min(sums, err, n, np.float64)]
+        exact = np.empty(cand.size)
+        cols = np.arange(n)
+        step = max(1, _CHUNK_BUDGET // a.size)
+        for lo in range(0, cand.size, step):
+            rows = cand[lo:lo + step]
+            d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))
+            exact[lo:lo + step] = np.sqrt(d2).reshape(rows.size, n).sum(axis=1)
     return int(cand[np.argmin(exact)])  # argmin takes the lowest index on ties
 
 

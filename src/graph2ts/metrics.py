@@ -219,10 +219,6 @@ def _proto_err(d_rs: np.ndarray) -> tuple[float, float]:
 
 
 def _coverage(d_rs: np.ndarray, nn_r: np.ndarray, q: float) -> float:
-    if nn_r.size < 2:
-        raise ValueError(f"coverage needs at least 2 real windows, got {nn_r.size}")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
     tau = float(np.quantile(nn_r, q))
     return float((d_rs <= tau).mean())
 
@@ -251,8 +247,12 @@ def mdr(real, synth) -> float:
 def coverage(real, synth, q: float) -> float:
     """Fraction of real windows with a synthetic neighbor within the q-quantile
     of the real-to-real nearest-neighbor distances (self excluded)."""
+    if not 0.0 <= q <= 1.0:
+        raise ValueError("q must be in [0, 1]")
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
+    if r.shape[0] < 2:
+        raise ValueError(f"coverage needs at least 2 real windows, got {r.shape[0]}")
     return _coverage(_accel.min_dist_to_set(r, s), _accel.nn_dist_excl_self(r), q)
 
 

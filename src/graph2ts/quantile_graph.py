@@ -44,6 +44,15 @@ class QuantileBoundaries:
             raise ValueError("boundary edges must be strictly increasing")
 
 
+def _reject_non_finite(x: np.ndarray, what: str) -> None:
+    """Raise a ValueError naming the first NaN or infinite value of ``x``."""
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        where = ("row %d, column %d" % divmod(int(bad[0]), x.shape[1]) if x.ndim == 2
+                 else f"index {bad[0]}")
+        raise ValueError(f"{what} hold a non-finite value ({x.flat[bad[0]]}) at {where}")
+
+
 def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundaries:
     """Equiprobable bin edges: the k/Q empirical quantiles of the pooled training values.
 
@@ -51,9 +60,11 @@ def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundarie
     and b_Q the maximum. Ties that collapse adjacent edges are nudged apart by
     the smallest representable step and reported.
     """
-    values = np.asarray(train_values, dtype=np.float64).ravel()
+    values = np.asarray(train_values, dtype=np.float64)
     if n_states < 2:
         raise ValueError("need at least 2 states")
+    _reject_non_finite(values, "training values")
+    values = values.ravel()
     if np.unique(values).size < n_states:
         raise ValueError(
             f"need at least {n_states} distinct values, got {np.unique(values).size}"
@@ -73,9 +84,11 @@ def discretize(window: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
     """Map values to 1-based states: bin k is [b_{k-1}, b_k), last bin closed right.
 
     Values outside [b_0, b_Q] clip into the end bins (boundaries are fitted on
-    the training pool, so eval values may fall outside).
+    the training pool, so eval values may fall outside); a NaN or infinite
+    value is an error.
     """
     x = np.asarray(window, dtype=np.float64)
+    _reject_non_finite(x, "windows")
     states = np.searchsorted(bounds.edges, x, side="right")
     return np.clip(states, 1, bounds.n_states).astype(np.int64)
 

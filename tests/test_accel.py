@@ -62,19 +62,23 @@ def test_uneven_chunks_agree_with_brute_force(sets, monkeypatch):
 
 
 def test_gram_chunks_fill_one_buffer(sets, monkeypatch):
-    # one product of augmented operands: [a | 1] . [-2b | |b|^2] against b, and
-    # [a | 1 | |a|^2] . [-2a | |a|^2 | 1] (b is a) against rows lo: only
+    # one float32 product of augmented operands, rows centered on b's mean and
+    # scaled by a power of two: [A | 1 | |A|^2] . [-2B | |B|^2 | 1] against b,
+    # and against rows lo: only when b is a
     a, b = sets
     for other, upper in ((b, False), (a, True)):
         monkeypatch.setattr(acc, "_CHUNK_BUDGET", 7 * other.shape[0])
-        nb2 = (other * other).sum(axis=1)
-        ones = np.ones((a.shape[0], 1))
-        left = np.hstack([a, ones, nb2[:, None]] if upper else [a, ones])
-        tail = [nb2[:, None], ones[:other.shape[0]]] if upper else [nb2[:, None]]
-        right = np.hstack([-2.0 * other] + tail).T.copy()  # C order, as the kernel's
+        c = other.mean(axis=0)
+        s = 2.0 ** (30 - np.frexp(max(np.abs(a - c).max(), np.abs(other - c).max()))[1] - 3)
+        wa, wb = ((s * (x - c)).astype(np.float32) for x in (a, other))
+        left = np.hstack([wa, np.ones((a.shape[0], 1), np.float32),
+                          (wa * wa).sum(axis=1)[:, None]])
+        right = np.hstack([-2 * wb, (wb * wb).sum(axis=1)[:, None],
+                           np.ones((other.shape[0], 1), np.float32)]).T.copy()
         bases = []
-        for lo, hi, g, _ in acc._gram_chunks(a, other, upper=upper):
+        for lo, hi, g, _ in acc._gram_chunks(a, other, np.float32, upper=upper):
             col = lo if upper else 0
+            assert g.dtype == np.float32
             assert np.array_equal(g, left[lo:hi] @ right[:, col:])
             bases.append(g.base)
         assert hi == a.shape[0] and len(bases) == 18
@@ -299,3 +303,68 @@ def test_min_dist_rejects_empty_or_mismatched(a_shape, b_shape):
 def test_self_kernels_reject_empty(kernel):
     with pytest.raises(ValueError, match=re.escape("got shapes (0, 4) and (0, 4)")):
         kernel(np.empty((0, 4)))
+
+
+def sweep_case(rng):
+    """One seeded input pair: random shapes, scale, offset, ties, copies, non-finite rows."""
+    n, m = (int(x) for x in rng.integers(1, 40, size=2))
+    t = 1 if rng.random() < 0.2 else int(rng.integers(2, 24))
+    a, b = rng.standard_normal((n, t)), rng.standard_normal((m, t))
+    if rng.random() < 0.3:  # few distinct values: exact ties
+        digits = int(rng.integers(0, 2))
+        a, b = np.round(a, digits), np.round(b, digits)
+    if rng.random() < 0.3:  # copies within a and from a into b
+        a = np.vstack([a, a[::3]])
+        b = np.vstack([b, a[::2]])
+    offset = rng.choice([0.0, 1.0, 1e4, 1e8]) * rng.standard_normal(t)
+    scale = 10.0 ** rng.uniform(-30, 30)  # squares past float32's range at both ends
+    a, b = (offset + a) * scale, (offset + b) * scale
+    for x in (a, b):
+        if rng.random() < 0.1:
+            x[rng.integers(x.shape[0]), rng.integers(t)] = rng.choice([np.nan, np.inf, -np.inf])
+    return a, b
+
+
+def test_kernels_match_brute_force_sweep(monkeypatch):
+    rng = np.random.default_rng(2026)
+    for case in range(200):
+        a, b = sweep_case(rng)
+        budget = rng.choice([acc._CHUNK_BUDGET, 7 * max(a.shape[0], b.shape[0]), 1])
+        with np.errstate(all="ignore"):  # the reference itself meets inf - inf
+            d_ab = brute_d2(a, b)
+            d_aa = brute_d2(a, a)
+            want_min = np.sqrt(d_ab.min(axis=1))
+            want_med = [int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1))) for x in (a, b)]
+            np.fill_diagonal(d_aa, np.inf)
+            want_nn = np.sqrt(d_aa.min(axis=1))
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
+            warnings.simplefilter("error")
+            patch.setattr(acc, "_CHUNK_BUDGET", int(budget))
+            assert np.array_equal(acc.min_dist_to_set(a, b), want_min, equal_nan=True), case
+            assert np.array_equal(acc.nn_dist_excl_self(a), want_nn, equal_nan=True), case
+            assert [acc.medoid_index(x) for x in (a, b)] == want_med, case
+
+
+def test_common_offset_recomputes_few_pairs(monkeypatch):
+    # centering: a 1e4 offset would otherwise put every pair inside the float32 bound
+    rng = np.random.default_rng(8)
+    z = rng.standard_normal((2000, 32))
+    z = (z - z.mean(axis=1, keepdims=True)) / z.std(axis=1, keepdims=True)
+    pairs = []
+
+    def counting(a, b, ii, jj):
+        pairs[-1] += ii.size
+        return exact(a, b, ii, jj)
+
+    exact = acc._exact_sq_dist
+    monkeypatch.setattr(acc, "_exact_sq_dist", counting)
+    for shift in (0.0, 1e4):
+        a, b = z[:1000] + shift, z[1000:] + shift
+        pairs.append(0)
+        assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)))
+        d2 = brute_d2(a, a)
+        medoid = int(np.argmin(np.sqrt(d2).sum(axis=1)))
+        np.fill_diagonal(d2, np.inf)
+        assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)))
+        assert acc.medoid_index(a) == medoid
+    assert pairs[1] <= 2 * pairs[0], pairs

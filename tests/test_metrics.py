@@ -269,6 +269,19 @@ class TestCoverage:
             q = float(rng.uniform(0.1, 0.9))
             assert abs(coverage(r, s, q) - brute_coverage(r, s, q)) <= 1e-12
 
+    def test_arguments_checked_before_distance_passes(self, rng, monkeypatch):
+        def no_pass(*args):
+            raise AssertionError("distance pass ran before the argument checks")
+
+        for kernel in ("min_dist_to_set", "nn_dist_excl_self"):
+            monkeypatch.setattr(metrics._accel, kernel, no_pass)
+        r = rng.standard_normal((30, 4))
+        for q in (1.5, -0.1, float("nan")):
+            with pytest.raises(ValueError, match=r"q must be in \[0, 1\]"):
+                coverage(r, r, q)
+        with pytest.raises(ValueError, match="at least 2 real windows, got 1"):
+            coverage(r[:1], r, 0.5)
+
 
 # ---------------------------------------------------------------------------
 # tails and the variance decomposition

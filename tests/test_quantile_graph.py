@@ -48,6 +48,13 @@ class TestFitBoundaries:
         assert (np.diff(b.edges) > 0).all()
         assert any("perturbed" in r.message for r in caplog.records)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_named(self, bad):
+        values = np.linspace(0.0, 1.0, 30)
+        values[17] = bad
+        with pytest.raises(ValueError, match=rf"non-finite value \({bad}\) at index 17"):
+            fit_boundaries(values, 3)
+
     def test_equiprobability_on_distinct(self, rng):
         q = 5
         values = rng.permutation(np.linspace(0, 1, 40 * q))
@@ -69,6 +76,10 @@ class TestDiscretize:
         b = QuantileBoundaries(edges=np.array([0.0, 1.0, 2.0]), n_states=2)
         assert discretize(np.array([-5.0]), b)[0] == 1
         assert discretize(np.array([9.0]), b)[0] == 2
+
+    def test_non_finite_named(self):
+        with pytest.raises(ValueError, match=r"non-finite value \(nan\) at index 1"):
+            discretize(np.array([0.5, np.nan, 1.0]), QuantileBoundaries(EXAMPLE_EDGES, 3))
 
     def test_monotone(self, rng):
         b = fit_boundaries(rng.standard_normal(500), 10)
@@ -144,3 +155,12 @@ class TestBatchGraphs:
         for i in range(40):
             single = transition_matrix(discretize(w[i], b), 4)
             assert np.allclose(batch[i], single.reshape(-1), atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_window_named(self, rng, bad):
+        w = rng.standard_normal((6, 8))
+        b = fit_boundaries(w.ravel(), 3)
+        w[4, 5] = bad
+        w[5, 0] = bad
+        with pytest.raises(ValueError, match=rf"non-finite value \({bad}\) at row 4, column 5"):
+            windows_to_graphs(w, b)
