@@ -158,7 +158,8 @@ def _openblas_core() -> str:
 def environment_header() -> str:
     config = np.show_config(mode="dicts")
     blas = config["Build Dependencies"]["blas"]
-    # numpy's dispatched loops (such as the kurtosis's ``x ** 4``) round by target
+    # numpy's dispatched loops (exp, log, sin and cos, which reach the artifacts
+    # through the model, the losses and the synthetic series) round by target
     simd = ",".join(config["SIMD Extensions"]["found"]) or "none"
     return (f"{HEADER} python={platform.python_version()} numpy={np.__version__} "
             f"blas={blas.get('name')}-{blas.get('version')} openblas_core={_openblas_core()} "

@@ -121,6 +121,13 @@ def cmd_graph(args) -> int:
     windows = fileio.read_windows(args.windows)
     if args.boundaries:
         bounds = fileio.read_boundaries(args.boundaries)
+        # an n_states set by the flag or the config file must be the file's Q
+        source, given = "--n-states", args.n_states
+        if given is None and args.config:
+            source, given = args.config, load_config_file(args.config).get("n_states")
+        if given is not None and given != bounds.n_states:
+            raise ValueError(f"{args.boundaries} holds boundaries with Q={bounds.n_states}, "
+                             f"but {source} sets n_states={given}")
     else:
         bounds = fit_boundaries(windows.ravel(), config.n_states)
     graphs = windows_to_graphs(windows, bounds)

@@ -23,6 +23,7 @@ import io
 import json
 import os
 import re
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, astuple, fields
@@ -75,7 +76,17 @@ def _fmt(v: float) -> str:
 def atomic_open(path, binary: bool = False):
     """Write through a temporary file in the target directory, moved over ``path``
     with ``os.replace`` once the block succeeds. On error the temporary file is
-    removed and any old file at ``path`` is left untouched."""
+    removed and any old file at ``path`` is left untouched. A ``path`` that
+    exists but is not a regular file (a FIFO, a device, a symlink) is refused
+    before anything is created, since the move would replace it."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        pass
+    else:
+        if not stat.S_ISREG(mode):
+            raise ValueError(f"{os.fspath(path)}: exists and is not a regular file; "
+                             f"refusing to replace it")
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     try:

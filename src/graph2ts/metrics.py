@@ -1,8 +1,9 @@
 """Evaluation metrics for (real, synthetic) window sets, plus tail diagnostics.
 
 All metrics operate in the normalized (z-score) space the model trains in.
-Distribution metrics pool the scalar values of each set; representativeness
-metrics work in window space with exact nearest-neighbor search.
+Distribution metrics pool the scalar values of each set and read them
+sorted; representativeness metrics work in window space with exact
+nearest-neighbor search.
 """
 
 from __future__ import annotations
@@ -112,6 +113,45 @@ def _as_windows(x, name: str) -> np.ndarray:
 # distribution fidelity
 # ---------------------------------------------------------------------------
 
+def _merged_counts(a: np.ndarray, b: np.ndarray):
+    """Merge two sorted arrays. Returns the merged values and, at each merged
+    position, how many members of ``a`` and of ``b`` lie at or before it.
+
+    A stable argsort of the concatenation is timsort, which merges the two
+    sorted runs in linear time. At the last position of a run of equal values
+    the counts are those of ``searchsorted(side="right")`` for that value.
+    """
+    both = np.concatenate([a, b])
+    order = np.argsort(both, kind="stable")
+    in_a = np.cumsum(order < a.size)
+    in_b = np.arange(1, both.size + 1) - in_a
+    return both[order], in_a, in_b
+
+
+def _w1_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """W1 of two sorted value arrays."""
+    if a.size == b.size:
+        return float(np.abs(a - b).mean())
+    merged, in_a, in_b = _merged_counts(a, b)
+    # inside a run of ties the counts fall short of the run's, but the step
+    # there is zero, so every product is that of the per-value counts
+    ca = in_a[:-1] / a.size
+    cb = in_b[:-1] / b.size
+    return float((np.abs(ca - cb) * np.diff(merged)).sum())
+
+
+def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
+    """KS statistic of two sorted value arrays: |F_a - F_b| at the last
+    position of each run of equal merged values, which visits every value."""
+    merged, in_a, in_b = _merged_counts(a, b)
+    run_end = np.append(merged[1:] != merged[:-1], True)
+    return float(np.abs(in_a[run_end] / a.size - in_b[run_end] / b.size).max())
+
+
+def _sorted_values(x, name: str) -> np.ndarray:
+    return np.sort(_as_windows(x, name).ravel())
+
+
 def wasserstein1_pooled(real, synth) -> float:
     """1-D W1 between the pooled value distributions of the two sets.
 
@@ -119,25 +159,12 @@ def wasserstein1_pooled(real, synth) -> float:
     values; the general case integrates |F_real - F_synth| over the merged
     support. Both are exact for empirical distributions.
     """
-    a = np.sort(_as_windows(real, "real").ravel())
-    b = np.sort(_as_windows(synth, "synth").ravel())
-    if a.size == b.size:
-        return float(np.abs(a - b).mean())
-    merged = np.sort(np.concatenate([a, b]))
-    deltas = np.diff(merged)
-    ca = np.searchsorted(a, merged[:-1], side="right") / a.size
-    cb = np.searchsorted(b, merged[:-1], side="right") / b.size
-    return float((np.abs(ca - cb) * deltas).sum())
+    return _w1_sorted(_sorted_values(real, "real"), _sorted_values(synth, "synth"))
 
 
 def ks_pooled(real, synth) -> float:
     """Two-sample Kolmogorov-Smirnov statistic on pooled values."""
-    a = np.sort(_as_windows(real, "real").ravel())
-    b = np.sort(_as_windows(synth, "synth").ravel())
-    merged = np.concatenate([a, b])
-    ca = np.searchsorted(a, merged, side="right") / a.size
-    cb = np.searchsorted(b, merged, side="right") / b.size
-    return float(np.abs(ca - cb).max())
+    return _ks_sorted(_sorted_values(real, "real"), _sorted_values(synth, "synth"))
 
 
 # ---------------------------------------------------------------------------
@@ -173,8 +200,12 @@ def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
 
 
 def acf_mae(real, synth) -> float:
-    """MAE between the mean ACF curves of the two sets, up to lag T // 2."""
-    lag = _as_windows(real, "real").shape[1] // 2
+    """MAE between the mean ACF curves of the two sets, up to lag T // 2.
+    Both sets must have the same window length T."""
+    t_len = _as_windows(real, "real").shape[1]
+    if _as_windows(synth, "synth").shape[1] != t_len:
+        raise ValueError("window lengths differ between sets")
+    lag = t_len // 2
     return float(np.abs(acf_mean_curve(real, lag) - acf_mean_curve(synth, lag)).mean())
 
 
@@ -263,10 +294,12 @@ def coverage(real, synth, q: float) -> float:
 def _tail_stats_1d(values: np.ndarray, what: str) -> TailStats:
     v = values.ravel()
     mean = float(v.mean())
-    m2 = float(((v - mean) ** 2).mean())
+    d2 = (v - mean) ** 2
+    m2 = float(d2.mean())
     if m2 == 0.0:
         raise ValueError(f"zero variance in the {what}; kurtosis undefined")
-    m4 = float(((v - mean) ** 4).mean())
+    # squared squares: plain IEEE products, not numpy's target-dependent pow
+    m4 = float((d2 * d2).mean())
     lo, hi = np.quantile(v, TAIL_QUANTILES)
     return TailStats(
         mean=mean,
@@ -322,7 +355,11 @@ def variance_decomposition_check(
 # ---------------------------------------------------------------------------
 
 def evaluate(real, synth, seed: int = 0) -> MetricsReport:
-    """Score a (real, synthetic) pair, subsampling the larger set to equal counts."""
+    """Score a (real, synthetic) pair, subsampling the larger set to equal counts.
+
+    Each item equals the public metric on the subsampled sets; the distance
+    passes and each set's sorted values are computed once and shared.
+    """
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
     if r.shape[1] != s.shape[1]:
@@ -342,9 +379,12 @@ def evaluate(real, synth, seed: int = 0) -> MetricsReport:
     avg, med = _proto_err(d_rs)
     tails_r = tail_stats(r, "real")
     tails_s = tail_stats(s, "synth")
+    # one sort per set, shared by W1 and KS
+    r_sorted = np.sort(r.ravel())
+    s_sorted = np.sort(s.ravel())
     return MetricsReport(
-        wasserstein=wasserstein1_pooled(r, s),
-        ks=ks_pooled(r, s),
+        wasserstein=_w1_sorted(r_sorted, s_sorted),
+        ks=_ks_sorted(r_sorted, s_sorted),
         acf_mae=acf_mae(r, s),
         psd_l2=psd_l2(r, s),
         proto_err_avg=avg,

@@ -180,6 +180,30 @@ class TestPipelineCommands:
                    "--boundaries", str(gfile) + ".boundaries") == 0
         assert np.array_equal(fileio.read_graphs(gfile2)[0], graphs)
 
+    @pytest.mark.parametrize("source, q", [("flag", 5), ("config", 5), ("flag", 10),
+                                           ("config", 10), ("none", None)])
+    def test_graph_n_states_must_match_boundaries(self, tmp_path, capsys, source, q):
+        wfile, bfile = tmp_path / "w.txt", tmp_path / "b.txt"
+        windows = synth_generate("sine_mix", 30, 32, 1)
+        fileio.write_windows(wfile, windows)
+        assert run("graph", "--windows", wfile, "--out", tmp_path / "g0.txt",
+                   "--boundaries-out", bfile, "--n-states", "10") == 0
+        capsys.readouterr()
+        cfg = tmp_path / "a.cfg"
+        cfg.write_text(f"n_states = {q}\n")
+        extra = {"flag": ("--n-states", q), "config": ("--config", cfg), "none": ()}[source]
+        gfile = tmp_path / "g.txt"
+        rc = run("graph", "--windows", wfile, "--out", gfile, "--boundaries", bfile, *extra)
+        if q in (10, None):  # the file's Q, or no n_states at all
+            assert rc == 0
+            assert fileio.read_graphs(gfile)[1] == 10
+            return
+        assert rc == 2
+        named = "--n-states" if source == "flag" else cfg
+        assert capsys.readouterr().err == (f"error: {bfile} holds boundaries with Q=10, but "
+                                           f"{named} sets n_states=5\n")
+        assert not gfile.exists()
+
     def test_full_small_pipeline(self, tmp_path):
         wfile = tmp_path / "w.txt"
         fileio.write_windows(wfile, synth_generate("sine_mix", 60, 32, 5))

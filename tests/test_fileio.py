@@ -1,5 +1,6 @@
 import contextlib
 import os
+import stat
 import threading
 import warnings
 
@@ -260,6 +261,47 @@ def test_missing_directory_error_names_the_artifact(tmp_path):
     with pytest.raises(FileNotFoundError) as info:
         fileio.write_windows(path, np.ones((1, 2)))
     assert info.value.filename == str(path)
+
+
+def _non_regular_target(tmp_path, kind):
+    """A FIFO, or a symlink to a regular file, at ``tmp_path / 'out.txt'``."""
+    path = tmp_path / "out.txt"
+    if kind == "fifo":
+        os.mkfifo(path)
+    else:
+        (tmp_path / "target.txt").write_text("keep me\n")
+        os.symlink(tmp_path / "target.txt", path)
+    return path
+
+
+def _assert_target_in_place(tmp_path, path, kind):
+    mode = os.lstat(path).st_mode
+    assert stat.S_ISFIFO(mode) if kind == "fifo" else stat.S_ISLNK(mode)
+    if kind == "symlink":
+        assert (tmp_path / "target.txt").read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["out.txt"] + (["target.txt"] if kind == "symlink" else []))
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_non_regular_target_refused(tmp_path, kind):
+    # os.replace would turn the FIFO or the link into a regular file
+    path = _non_regular_target(tmp_path, kind)
+    with pytest.raises(ValueError, match=f"{path}: exists and is not a regular file"):
+        fileio.write_windows(path, np.ones((2, 3)))
+    _assert_target_in_place(tmp_path, path, kind)
+
+
+@pytest.mark.parametrize("kind", ["fifo", "symlink"])
+def test_cli_refuses_non_regular_output(tmp_path, kind, capsys):
+    windows = tmp_path / "w.txt"
+    fileio.write_windows(windows, np.arange(12.0).reshape(3, 4) ** 2)
+    path = _non_regular_target(tmp_path, kind)
+    assert main(["stats", "--windows", str(windows), "--out", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: exists and is not a regular file; refusing to replace it\n"
+    windows.unlink()
+    _assert_target_in_place(tmp_path, path, kind)
 
 
 def _awkward_floats(rng) -> np.ndarray:

@@ -4,6 +4,7 @@ from scipy.optimize import linear_sum_assignment
 
 from graph2ts import metrics
 from graph2ts.metrics import (
+    MetricsReport,
     acf_mae,
     acf_mean_curve,
     coverage,
@@ -43,6 +44,28 @@ def brute_ks(a, b):
         fb = (b <= v).mean()
         best = max(best, abs(fa - fb))
     return best
+
+
+def searchsorted_w1(a, b):
+    """W1 by searching both sorted sets at every merged value (the formula the
+    merged-order version must reproduce bit for bit)."""
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    if a.size == b.size:
+        return float(np.abs(a - b).mean())
+    merged = np.sort(np.concatenate([a, b]))
+    ca = np.searchsorted(a, merged[:-1], side="right") / a.size
+    cb = np.searchsorted(b, merged[:-1], side="right") / b.size
+    return float((np.abs(ca - cb) * np.diff(merged)).sum())
+
+
+def searchsorted_ks(a, b):
+    a = np.sort(np.asarray(a, dtype=np.float64).ravel())
+    b = np.sort(np.asarray(b, dtype=np.float64).ravel())
+    merged = np.concatenate([a, b])
+    ca = np.searchsorted(a, merged, side="right") / a.size
+    cb = np.searchsorted(b, merged, side="right") / b.size
+    return float(np.abs(ca - cb).max())
 
 
 def brute_proto(real, synth):
@@ -133,6 +156,32 @@ class TestKS:
             assert abs(ks_pooled(a, b) - brute_ks(a, b)) <= 1e-12
 
 
+def _tie_heavy_pairs(rng, n_cases):
+    """Seeded (a, b) value sets: equal and unequal sizes, size 1, values
+    rounded to 0-2 decimals (ties within and across sets), -0.0 beside +0.0,
+    and identical sets."""
+    for i in range(n_cases):
+        na = 1 if i % 10 == 0 else int(rng.integers(1, 80))
+        nb = na if i % 3 == 0 else (1 if i % 10 == 1 else int(rng.integers(1, 80)))
+        decimals = i % 3
+        a = np.round(rng.standard_normal(na), decimals)
+        b = np.round(rng.standard_normal(nb), decimals)
+        if i % 4 == 0:  # signed zeros: some zeros negative, some positive
+            a[(a == 0) & (rng.random(na) < 0.5)] = -0.0
+            b = np.append(b, [-0.0, 0.0])
+        if i % 7 == 0:
+            b = a.copy()
+        yield a, b
+
+
+def test_merged_order_matches_searchsorted_bit_for_bit():
+    rng = np.random.default_rng(20261019)
+    for a, b in _tie_heavy_pairs(rng, 240):
+        for x, y in ((a, b), (b, a)):
+            assert ks_pooled(x[None], y[None]) == searchsorted_ks(x, y), (x, y)
+            assert wasserstein1_pooled(x[None], y[None]) == searchsorted_w1(x, y), (x, y)
+
+
 # ---------------------------------------------------------------------------
 # temporal metrics
 # ---------------------------------------------------------------------------
@@ -162,6 +211,14 @@ class TestACF:
     def test_all_zero_variance_errors(self):
         with pytest.raises(ValueError):
             acf_mean_curve(np.ones((3, 8)), 2)
+
+
+    @pytest.mark.parametrize("widths", [(8, 32), (32, 8)])
+    def test_window_lengths_differ(self, rng, widths):
+        real = rng.standard_normal((20, widths[0]))
+        synth = rng.standard_normal((20, widths[1]))
+        with pytest.raises(ValueError, match="^window lengths differ between sets$"):
+            acf_mae(real, synth)
 
 
 class TestPSD:
@@ -392,6 +449,33 @@ class TestEvaluate:
         assert rep.mdr == mdr(real, synth)
         for q in qs:
             assert rep.coverage[q] == coverage(real, synth, q)
+
+    @pytest.mark.parametrize("n_real, n_synth", [(40, 40), (40, 70), (70, 40)])
+    def test_report_equals_public_functions(self, rng, n_real, n_synth):
+        # evaluate shares sorts and distance passes; each item must still be the
+        # public function's value on the same subsampled sets
+        real = np.round(rng.standard_normal((n_real, 12)), 1)
+        synth = np.round(rng.standard_normal((n_synth, 12)), 1)
+        pick = np.random.default_rng(5)
+        n = min(n_real, n_synth)
+        r = real if n_real == n else real[np.sort(pick.choice(n_real, n, replace=False))]
+        s = synth if n_synth == n else synth[np.sort(pick.choice(n_synth, n, replace=False))]
+        tails_r, tails_s = tail_stats(r), tail_stats(s)
+        want = MetricsReport(
+            wasserstein=wasserstein1_pooled(r, s),
+            ks=ks_pooled(r, s),
+            acf_mae=acf_mae(r, s),
+            psd_l2=psd_l2(r, s),
+            proto_err_avg=proto_err(r, s)[0],
+            proto_err_med=proto_err(r, s)[1],
+            mdr=mdr(r, s),
+            coverage={q: coverage(r, s, q) for q in metrics.COVERAGE_QUANTILES},
+            tails_real_x=tails_r[0],
+            tails_real_dx=tails_r[1],
+            tails_synth_x=tails_s[0],
+            tails_synth_dx=tails_s[1],
+        )
+        assert evaluate(real, synth, seed=5).as_items() == want.as_items()
 
     def test_nonfinite_window_rejected(self, rng):
         # one NaN window used to give proto_err_avg=nan and medoid 0 silently
