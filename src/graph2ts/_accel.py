@@ -1,6 +1,8 @@
 """Hot numeric kernels: exact nearest-neighbor distances and transition counts.
 
-Every distance result equals the brute-force reference, the squared distance
+The distance kernels take finite sets only: a NaN or an infinity is a
+ValueError naming the set (``a`` or ``b``) and its row and column. Every
+distance result equals the brute-force reference, the squared distance
 ``fl(d_ij) = ((a[i] - b[j]) ** 2).sum()``, bit for bit: identical rows give
 exactly 0.0 and medoid ties go to the lowest index. The O(n m) work runs
 through BLAS in float32 and only proposes candidates; the reference value is
@@ -12,39 +14,38 @@ a single matrix product of augmented operands, ``[A_i | 1 | na2_i] .
 of ``A_i``, ``B_j`` (scaling by -2 is exact). The operands are the rows
 centered and scaled before the cast to the pass's working precision:
 ``A_i = fl_w(s fl(a_i - c))`` and ``B_j = fl_w(s fl(b_j - c))``, with ``c``
-the float64 mean of the finite rows of ``b`` and ``s`` a power of two. No
-sweep adds the norms afterwards. Each row ``i`` carries a bound ``err_i`` with
-``|D_ij - s^2 fl(d_ij)| <= err_i`` for every ``j``.
+the float64 mean of the rows of ``b`` and ``s`` a power of two. No sweep adds
+the norms afterwards. Each row ``i`` carries a bound ``err_i`` with ``|D_ij -
+s^2 fl(d_ij)| <= err_i`` for every ``j``.
 
 * Min kernels. If ``j*`` minimizes ``fl(d_ij)`` and ``k`` minimizes ``D_ij``,
   then ``D_ij* <= s^2 fl(d_ij*) + err_i <= s^2 fl(d_ik) + err_i <= D_ik +
   2 err_i``, so the pairs with ``D_ij <= D_ik + 2 err_i`` hold every
   minimizer. The pass takes ``k`` by ``argmin`` and the smallest ``D_ij``
   over ``j != k``. If that runner-up exceeds the bound, ``k`` is the row's
-  only candidate. Otherwise (an exact tie, a near-tie, or a NaN, since
-  ``NaN > x`` is false) the row takes every pair with ``not D_ij > D_ik +
-  2 err_i``, so a NaN row keeps every pair. The result is the minimum of the
+  only candidate. Otherwise (an exact tie or a near-tie) the row takes every
+  pair with ``D_ij <= D_ik + 2 err_i``. The result is the minimum of the
   recomputed ``fl(d_ij)`` over the candidates. With the row itself excluded,
-  its own pair is set to ``inf`` first and never counts as a candidate.
-* Medoid. ``|sqrt x - sqrt y| <= sqrt|x - y|`` puts each term
-  ``sqrt(max(D_ij, 0))`` within ``sqrt(err_i)`` of the reference term (scaled
-  by ``s``). The square roots and the n-term row sums round by at most ``u_w``
-  per operation, in any order, and the reference's by ``u <= u_w``, so the
-  approximate row sum ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1)
-  u_w S_i`` of ``s`` times the reference sum; the code doubles it like the
-  bound (once ``4 (n + 1) u_w`` reaches 1, the slack exceeds every sum and
-  every row is kept). Rows with ``S_i - slack_i <= min_k (S_k + slack_k)`` hold every
-  minimizer. Stage 1 is a float32 pass over the upper trapezoid: chunk
-  ``[lo, hi)`` meets the rows ``j >= lo``, and an entry with ``j >= hi`` is
-  added to row ``j``'s sum as well as to row ``i``'s. It serves row ``j``
-  within ``err_j``: the reference is symmetric (``a_j - a_i`` is the exact
-  negation of ``a_i - a_j``, so ``fl(d_ji) = fl(d_ij)``), and ``|X_i| <= R``
-  keeps the pair's error within ``err_j`` (see below). A row sum accumulated
-  from partial sums, in any order, is still an n-term sum, so the slack
-  covers it. Stage 2 is the same form in float64 (``u_w = u``) over the
-  stage-1 rows against all rows, and keeps the rows within its slack of the
-  least of their sums. Those rows are re-summed exactly and the lowest index
-  among the exact minima wins.
+  its own pair is set to ``inf`` first, and dropped again if an infinite
+  ``err_i`` (below) proposes it.
+* Medoid. ``|sqrt x - sqrt y| <= sqrt|x - y|`` puts each term ``sqrt(max(D_ij,
+  0))`` within ``sqrt(err_i)`` of the reference term (scaled by ``s``). The
+  square roots and the n-term row sums round by at most ``u_w`` per operation,
+  in any order, and the reference's by ``u <= u_w``, so the approximate row sum
+  ``S_i`` is within ``slack_i = n sqrt(err_i) + 2 (n + 1) u_w S_i`` of ``s``
+  times the reference sum; the code doubles it like the bound (once ``4 (n + 1)
+  u_w`` reaches 1, the slack exceeds every sum and every row is kept). Rows
+  with ``S_i - slack_i <= min_k (S_k + slack_k)`` hold every minimizer. Stage 1
+  is a float32 pass over the upper trapezoid: chunk ``[lo, hi)`` meets the rows
+  ``j >= lo``, and an entry with ``j >= hi`` is added to row ``j``'s sum as
+  well as to row ``i``'s. It serves row ``j`` within ``err_j``: the reference
+  is symmetric (``a_j - a_i`` is the exact negation of ``a_i - a_j``, so
+  ``fl(d_ji) = fl(d_ij)``), and ``|X_i| <= R`` keeps the pair's error within
+  ``err_j`` (see below). A row sum accumulated from partial sums, in any order,
+  is still an n-term sum, so the slack covers it. Stage 2 is the same form in
+  float64 (``u_w = u``) over the stage-1 rows against all rows, and keeps the
+  rows within its slack of the least of their sums. Those rows are re-summed
+  exactly and the lowest index among the exact minima wins.
 
 The bound. Let ``u = 2**-53``, ``u_w`` the working unit roundoff (``2**-24``
 in float32), ``tiny`` and ``tiny_w`` the smallest normal numbers of float64
@@ -78,23 +79,25 @@ u <= kappa = (2T + 4) u_w + (T + 5) u``. The code takes ``err_i = 2 kappa
 (|X_i| + R)^2 + 4 T (tiny_w + s^2 tiny)``. Doubling covers, for ``kappa <=
 1/8``, the O(kappa^2) terms, the cross terms ``4 sqrt(T) tiny_w Q_ij <=
 kappa Q_ij^2 / 2 + 8 T tiny_w^2 / kappa`` (the last is far below ``tiny_w``),
-and the rounding of the computed norms and of the bound itself; past
-``kappa = 1/8`` (``T`` near ``2**20`` in float32) ``err`` is infinite and
-every pair is recomputed. For ``b = a`` the bound is symmetric in ``i`` and
-``j``, and ``|X_i| <= R`` makes it at most ``err_j`` as well.
+and the rounding of the computed norms and of the bound itself. For ``b = a``
+the bound is symmetric in ``i`` and ``j``, and ``|X_i| <= R`` makes it at
+most ``err_j`` as well.
 
-Centering and scaling. ``s`` puts every finite centered value below
-``2**30 / sqrt(T)``, so a finite row's norm stays below ``2**30`` and no
-operand, norm or ``D_ij`` (below ``2**62``) overflows float32, while inputs
-from ``1e-30`` to ``1e30`` keep their relative precision. The norms in
-``err`` are taken in float64 from the scaled values. Centering makes ``Q_ij``
-the spread of the rows about their mean rather than their distance from the
-origin: a large common offset would otherwise widen ``err`` past the gaps
-between distances and make every pair a candidate. A row holding a NaN or an
-infinity, or any such row in ``b``, gets a NaN or infinite ``err`` and keeps
-every pair; so does every row where the reference's squares could pass
-float64's range. The bound only decides how many pairs are recomputed: a row
-far from the rest (large ``R``) widens it, which costs time, never exactness.
+The premises. While ``|a|`` and ``|b|`` are below ``2**e`` and ``2 e +
+bitlen(T) <= 1021``, the reference's squares and sums stay in float64's range.
+Past that (beyond about ``1e154``, checked before centering, which can itself
+overflow) or past ``kappa = 1/8`` (``T`` near ``2**20`` in float32), ``D = 0``
+and an infinite ``err`` make every pair a candidate.
+
+Centering and scaling. ``s`` puts every centered value below ``2**30 /
+sqrt(T)``, so a row's norm stays below ``2**30`` and no operand, norm or
+``D_ij`` (below ``2**62``) overflows float32, while inputs from ``1e-30`` to
+``1e30`` keep their relative precision. The norms in ``err`` are taken in
+float64 from the scaled values. Centering makes ``Q_ij`` the spread of the rows
+about their mean rather than their distance from the origin: a large common
+offset would otherwise widen ``err`` past the gaps between distances and make
+every pair a candidate. The bound only decides how many pairs are recomputed: a
+row far from the rest (large ``R``) widens it, costing time, not exactness.
 """
 
 from __future__ import annotations
@@ -102,6 +105,8 @@ from __future__ import annotations
 from typing import Iterator
 
 import numpy as np
+
+from .dataset import check_finite
 
 __all__ = [
     "min_dist_to_set",
@@ -116,11 +121,6 @@ _CHUNK_BUDGET = 2_000_000
 
 _U = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
-
-
-def _finite_peak(x: np.ndarray) -> float:
-    """The largest finite magnitude in ``x``, or 0.0."""
-    return float(np.abs(x[np.isfinite(x)]).max(initial=0.0))
 
 
 def _gram_chunks(
@@ -138,38 +138,41 @@ def _gram_chunks(
     if not (a.ndim == b.ndim == 2 and a.size and b.size and a.shape[1] == b.shape[1]):
         raise ValueError("distance kernels need two non-empty 2-D sets of one width, "
                          f"got shapes {a.shape} and {b.shape}")
+    check_finite(a, "set a")
+    if b is not a:
+        check_finite(b, "set b")
     n, t = a.shape
     m = b.shape[0]
-    finite = np.isfinite(b).all(axis=1)
-    center = b[finite].mean(axis=0) if finite.any() else np.zeros(t)
-    xb = b - center
-    xa = xb if b is a else a - center
-    # s = 2**k puts every finite centered value below 2**30 / sqrt(T)
-    e = int(np.frexp(max(_finite_peak(xa), _finite_peak(xb)))[1])
-    s = 2.0 ** min(500, 30 - e - (t.bit_length() + 1) // 2)
-    xb *= s
-    if b is not a:
-        xa *= s
-    na2 = (xa * xa).sum(axis=1)
-    nb2 = na2 if b is a else (xb * xb).sum(axis=1)
     info = np.finfo(dtype)
     kappa = (2 * t + 4) * info.eps / 2 + (t + 5) * _U
+    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
     if kappa > 0.125 or 2 * e + t.bit_length() > 1021:
-        # past the bound's premises: T near 2**20 in float32, or the
-        # reference's squares near the top of float64's range
+        # past the bound's premises: every pair is a candidate
+        left, right = np.zeros((n, 1), dtype), np.zeros((1, m), dtype)
         err = np.full(n, np.inf)
     else:
+        center = b.mean(axis=0)
+        xb = b - center
+        xa = xb if b is a else a - center
+        # s = 2**k puts every centered value below 2**30 / sqrt(T)
+        e = int(np.frexp(max(np.abs(xa).max(), np.abs(xb).max()))[1])
+        s = 2.0 ** min(500, 30 - e - (t.bit_length() + 1) // 2)
+        xb *= s
+        if b is not a:
+            xa *= s
+        na2 = (xa * xa).sum(axis=1)
+        nb2 = na2 if b is a else (xb * xb).sum(axis=1)
         err = (2 * kappa * (np.sqrt(na2) + np.sqrt(nb2.max())) ** 2
                + 4 * t * (info.tiny + s * s * _TINY))
-    # [A | 1 | na2] and [-2B | nb2 | 1]^T: the product carries the norms
-    left = np.ones((n, t + 2), dtype)
-    wa = left[:, :t]
-    wa[...] = xa
-    left[:, t + 1] = (wa * wa).sum(axis=1)
-    wb = wa if b is a else xb.astype(dtype, copy=False)
-    right = np.ones((t + 2, m), dtype)
-    np.multiply(wb.T, -2, out=right[:t])
-    right[t] = left[:, t + 1] if b is a else (wb * wb).sum(axis=1)
+        # [A | 1 | na2] and [-2B | nb2 | 1]^T: the product carries the norms
+        left = np.ones((n, t + 2), dtype)
+        wa = left[:, :t]
+        wa[...] = xa
+        left[:, t + 1] = (wa * wa).sum(axis=1)
+        wb = wa if b is a else xb.astype(dtype, copy=False)
+        right = np.ones((t + 2, m), dtype)
+        np.multiply(wb.T, -2, out=right[:t])
+        right[t] = left[:, t + 1] if b is a else (wb * wb).sum(axis=1)
     chunk = max(1, _CHUNK_BUDGET // m)
     # one buffer per call, so its pages fault in once; d is overwritten on resume
     buf = np.empty(min(chunk, n) * m, dtype)
@@ -193,27 +196,24 @@ def _exact_sq_dist(a: np.ndarray, b: np.ndarray, ii: np.ndarray, jj: np.ndarray)
 
 def _nn_dist(a: np.ndarray, b: np.ndarray, exclude_self: bool) -> np.ndarray:
     out = np.empty(a.shape[0])
-    # a non-finite row's distances are NaN or inf, as brute force gives them, not warnings
-    with np.errstate(invalid="ignore"):
-        for lo, hi, d, err in _gram_chunks(a, b, np.float32):
-            rows = np.arange(hi - lo)
-            if exclude_self:
-                d[rows, rows + lo] = np.inf
-            k = d.argmin(axis=1)
-            bound = d[rows, k] + 2 * err  # float64: the float32 values compare exactly
-            d[rows, k] = np.inf
-            # ~(x > bound) rather than x <= bound sends NaN rows to the full mask
-            tied = np.flatnonzero(~(d.min(axis=1) > bound))
-            # every row's k, then the rest of each tied row's mask (k's d is inf now)
-            ii, jj = np.divmod(np.flatnonzero(~(d[tied] > bound[tied, None])), d.shape[1])
-            ii = np.concatenate([rows, tied[ii]])
-            jj = np.concatenate([k, jj])
-            if exclude_self:  # a row with an inf or NaN bound can propose itself
-                keep = ii + lo != jj
-                ii, jj = ii[keep], jj[keep]
-            best = np.full(hi - lo, np.inf)
-            np.minimum.at(best, ii, _exact_sq_dist(a, b, ii + lo, jj))
-            out[lo:hi] = np.sqrt(best)
+    for lo, hi, d, err in _gram_chunks(a, b, np.float32):
+        rows = np.arange(hi - lo)
+        if exclude_self:
+            d[rows, rows + lo] = np.inf
+        k = d.argmin(axis=1)
+        bound = d[rows, k] + 2 * err  # float64: the float32 values compare exactly
+        d[rows, k] = np.inf
+        tied = np.flatnonzero(d.min(axis=1) <= bound)
+        # every row's k, then the rest of each tied row's mask (k's d is inf now)
+        ii, jj = np.divmod(np.flatnonzero(d[tied] <= bound[tied, None]), d.shape[1])
+        ii = np.concatenate([rows, tied[ii]])
+        jj = np.concatenate([k, jj])
+        if exclude_self:  # a row with an infinite bound can propose itself
+            keep = ii + lo != jj
+            ii, jj = ii[keep], jj[keep]
+        best = np.full(hi - lo, np.inf)
+        np.minimum.at(best, ii, _exact_sq_dist(a, b, ii + lo, jj))
+        out[lo:hi] = np.sqrt(best)
     return out
 
 
@@ -234,7 +234,7 @@ def _near_min(sums: np.ndarray, err: np.ndarray, n: int, dtype: type) -> np.ndar
     """Indices of the ``dtype`` row sums of ``n`` terms that may hold the least
     reference sum (module docstring)."""
     slack = 2 * n * np.sqrt(err) + 2 * (n + 1) * np.finfo(dtype).eps * sums
-    return np.flatnonzero(~(sums - slack > (sums + slack).min()))
+    return np.flatnonzero(sums - slack <= (sums + slack).min())
 
 
 def medoid_index(a: np.ndarray) -> int:
@@ -243,31 +243,30 @@ def medoid_index(a: np.ndarray) -> int:
     n = a.shape[0]
     sums = np.zeros(n)
     err = np.empty(n)
-    with np.errstate(invalid="ignore"):  # as in _nn_dist
-        # stage 1, float32. D is symmetric: each block's rows are summed into
-        # their own rows, and its columns past the block into theirs, not yet reached
-        for lo, hi, d2, e in _gram_chunks(a, a, np.float32, upper=True):
-            np.maximum(d2, 0, out=d2)
-            d = np.sqrt(d2, out=d2)
-            sums[lo:hi] += d.sum(axis=1)
-            sums[hi:] += d[:, hi - lo:].sum(axis=0)
-            err[lo:hi] = e
-        cand = _near_min(sums, err, n, np.float32)
-        # stage 2, float64: the stage-1 rows against all rows
-        sums = np.empty(cand.size)
-        err = np.empty(cand.size)
-        for lo, hi, d2, e in _gram_chunks(a[cand], a, np.float64):
-            np.maximum(d2, 0, out=d2)
-            sums[lo:hi] = np.sqrt(d2, out=d2).sum(axis=1)
-            err[lo:hi] = e
-        cand = cand[_near_min(sums, err, n, np.float64)]
-        exact = np.empty(cand.size)
-        cols = np.arange(n)
-        step = max(1, _CHUNK_BUDGET // a.size)
-        for lo in range(0, cand.size, step):
-            rows = cand[lo:lo + step]
-            d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))
-            exact[lo:lo + step] = np.sqrt(d2).reshape(rows.size, n).sum(axis=1)
+    # stage 1, float32. D is symmetric: each block's rows are summed into
+    # their own rows, and its columns past the block into theirs, not yet reached
+    for lo, hi, d2, e in _gram_chunks(a, a, np.float32, upper=True):
+        np.maximum(d2, 0, out=d2)
+        d = np.sqrt(d2, out=d2)
+        sums[lo:hi] += d.sum(axis=1)
+        sums[hi:] += d[:, hi - lo:].sum(axis=0)
+        err[lo:hi] = e
+    cand = _near_min(sums, err, n, np.float32)
+    # stage 2, float64: the stage-1 rows against all rows
+    sums = np.empty(cand.size)
+    err = np.empty(cand.size)
+    for lo, hi, d2, e in _gram_chunks(a[cand], a, np.float64):
+        np.maximum(d2, 0, out=d2)
+        sums[lo:hi] = np.sqrt(d2, out=d2).sum(axis=1)
+        err[lo:hi] = e
+    cand = cand[_near_min(sums, err, n, np.float64)]
+    exact = np.empty(cand.size)
+    cols = np.arange(n)
+    step = max(1, _CHUNK_BUDGET // a.size)
+    for lo in range(0, cand.size, step):
+        rows = cand[lo:lo + step]
+        d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))
+        exact[lo:lo + step] = np.sqrt(d2).reshape(rows.size, n).sum(axis=1)
     return int(cand[np.argmin(exact)])  # argmin takes the lowest index on ties
 
 

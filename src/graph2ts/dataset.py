@@ -17,6 +17,7 @@ __all__ = [
     "DatasetSplit",
     "load_series",
     "make_windows",
+    "check_finite",
     "check_windowing",
     "check_eval_fraction",
     "zscore_fit_apply",
@@ -88,6 +89,18 @@ def load_series(path, column: int = 0) -> np.ndarray:
     return np.array(values)
 
 
+def check_finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` unchanged; a ValueError naming ``what`` and the first NaN or
+    infinite value of ``x``, with its row and column, or its flat index."""
+    ok = np.isfinite(x)
+    if not ok.all():
+        k = int(np.argmin(ok))  # the first False
+        where = ("row %d, column %d" % divmod(k, x.shape[1]) if x.ndim == 2
+                 else f"index {k}")
+        raise ValueError(f"{what} holds a non-finite value ({x.flat[k]}) at {where}")
+    return x
+
+
 def check_windowing(window_length: int, stride: int) -> None:
     if window_length < 1 or stride < 1:
         raise ValueError("window_length and stride must be positive")
@@ -99,8 +112,7 @@ def make_windows(series: np.ndarray, window_length: int, stride: int) -> np.ndar
     v = np.asarray(series, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("series must be a non-empty 1-D array")
-    if not np.isfinite(v).all():
-        raise ValueError("series contains non-finite values")
+    check_finite(v, "series")
     if v.size < window_length:
         raise ValueError(f"series length {v.size} shorter than window length {window_length}")
     offsets = range(0, v.size - window_length + 1, stride)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .dataset import check_finite
 
 __all__ = [
     "TailStats",
@@ -102,11 +103,20 @@ class MetricsReport:
 
 def _as_windows(x, name: str) -> np.ndarray:
     w = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    if w.ndim > 2:
+        raise ValueError(f"{name} set must be 1-D or 2-D, got shape {w.shape}")
     if w.size == 0:
         raise ValueError(f"{name} set is empty")
-    if not np.isfinite(w).all():
-        raise ValueError(f"{name} set holds a non-finite value")
-    return w
+    return check_finite(w, f"{name} set")
+
+
+def _as_pair(real, synth) -> tuple[np.ndarray, np.ndarray]:
+    """The real and the synthetic set as windows of one length."""
+    r = _as_windows(real, "real")
+    s = _as_windows(synth, "synth")
+    if r.shape[1] != s.shape[1]:
+        raise ValueError("window lengths differ between sets")
+    return r, s
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +212,9 @@ def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
 def acf_mae(real, synth) -> float:
     """MAE between the mean ACF curves of the two sets, up to lag T // 2.
     Both sets must have the same window length T."""
-    t_len = _as_windows(real, "real").shape[1]
-    if _as_windows(synth, "synth").shape[1] != t_len:
-        raise ValueError("window lengths differ between sets")
-    lag = t_len // 2
-    return float(np.abs(acf_mean_curve(real, lag) - acf_mean_curve(synth, lag)).mean())
+    r, s = _as_pair(real, synth)
+    lag = r.shape[1] // 2
+    return float(np.abs(acf_mean_curve(r, lag) - acf_mean_curve(s, lag)).mean())
 
 
 def _hann_periodic(n: int) -> np.ndarray:
@@ -234,10 +242,9 @@ def psd_mean_curve(windows) -> np.ndarray:
 
 def psd_l2(real, synth) -> float:
     """Euclidean distance between the mean power spectra of the two sets."""
-    a = psd_mean_curve(real)
-    b = psd_mean_curve(synth)
-    if a.size != b.size:
-        raise ValueError("window lengths differ between sets")
+    r, s = _as_pair(real, synth)
+    a = psd_mean_curve(r)
+    b = psd_mean_curve(s)
     return float(np.sqrt(((a - b) ** 2).sum()))
 
 
@@ -256,15 +263,13 @@ def _coverage(d_rs: np.ndarray, nn_r: np.ndarray, q: float) -> float:
 
 def proto_err(real, synth) -> tuple[float, float]:
     """Mean and median distance from each real window to its nearest synthetic one."""
-    r = _as_windows(real, "real")
-    s = _as_windows(synth, "synth")
+    r, s = _as_pair(real, synth)
     return _proto_err(_accel.min_dist_to_set(r, s))
 
 
 def mdr(real, synth) -> float:
     """Medoid distance ratio: medoid gap over mean real distance to the real medoid."""
-    r = _as_windows(real, "real")
-    s = _as_windows(synth, "synth")
+    r, s = _as_pair(real, synth)
     if r.shape[0] < 2:
         raise ValueError(f"mdr needs at least 2 real windows, got {r.shape[0]}")
     m_r = r[_accel.medoid_index(r)]
@@ -280,8 +285,7 @@ def coverage(real, synth, q: float) -> float:
     of the real-to-real nearest-neighbor distances (self excluded)."""
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be in [0, 1]")
-    r = _as_windows(real, "real")
-    s = _as_windows(synth, "synth")
+    r, s = _as_pair(real, synth)
     if r.shape[0] < 2:
         raise ValueError(f"coverage needs at least 2 real windows, got {r.shape[0]}")
     return _coverage(_accel.min_dist_to_set(r, s), _accel.nn_dist_excl_self(r), q)
@@ -360,10 +364,7 @@ def evaluate(real, synth, seed: int = 0) -> MetricsReport:
     Each item equals the public metric on the subsampled sets; the distance
     passes and each set's sorted values are computed once and shared.
     """
-    r = _as_windows(real, "real")
-    s = _as_windows(synth, "synth")
-    if r.shape[1] != s.shape[1]:
-        raise ValueError("window lengths differ between sets")
+    r, s = _as_pair(real, synth)
     # checked before subsampling, which cuts the larger set to the smaller count
     if min(r.shape[0], s.shape[0]) < 2:
         raise ValueError(f"need at least 2 windows in each set, got {r.shape[0]} real "

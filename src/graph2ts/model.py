@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .dataset import DatasetSplit
+from .dataset import DatasetSplit, check_finite
 from .optim import ParamStore, adam_step
 from .quantile_graph import (
     QuantileBoundaries,
@@ -362,7 +362,7 @@ class Graph2TS:
         return {k: tape.leaf(v) for k, v in self.params.items()}
 
     def ts_embeddings(self, windows: np.ndarray) -> np.ndarray:
-        x = _finite_rows(np.atleast_2d(np.asarray(windows, dtype=np.float64)), "windows")
+        x = check_finite(np.atleast_2d(np.asarray(windows, dtype=np.float64)), "window set")
         tape = Tape(record=False)
         p = self._leaves(tape)
         return encode_ts(p, tape.leaf(x)).value
@@ -373,7 +373,7 @@ class Graph2TS:
             raise ValueError(
                 f"graphs have width {g.shape[1]}, expected {self.config.graph_dim}"
             )
-        return conditioning_graphs(self.config, _finite_rows(g, "graphs"))
+        return conditioning_graphs(self.config, check_finite(g, "graph set"))
 
     def generate(self, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0) -> np.ndarray:
         """Sample n_per_graph windows per conditioning graph.
@@ -424,14 +424,6 @@ class Graph2TS:
             result[lo : lo + n] = decode(p, x).value
             lo += n
         return result
-
-
-def _finite_rows(arr: np.ndarray, name: str) -> np.ndarray:
-    """``arr`` unchanged; ValueError naming the first row holding NaN/Inf."""
-    bad = ~np.isfinite(arr).all(axis=1)
-    if bad.any():
-        raise ValueError(f"{name} row {int(np.argmax(bad))} holds a non-finite value")
-    return arr
 
 
 # ---------------------------------------------------------------------------

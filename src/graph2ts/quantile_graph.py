@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .dataset import check_finite
 
 __all__ = [
     "QuantileBoundaries",
@@ -44,15 +45,6 @@ class QuantileBoundaries:
             raise ValueError("boundary edges must be strictly increasing")
 
 
-def _reject_non_finite(x: np.ndarray, what: str) -> None:
-    """Raise a ValueError naming the first NaN or infinite value of ``x``."""
-    bad = np.flatnonzero(~np.isfinite(x))
-    if bad.size:
-        where = ("row %d, column %d" % divmod(int(bad[0]), x.shape[1]) if x.ndim == 2
-                 else f"index {bad[0]}")
-        raise ValueError(f"{what} hold a non-finite value ({x.flat[bad[0]]}) at {where}")
-
-
 def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundaries:
     """Equiprobable bin edges: the k/Q empirical quantiles of the pooled training values.
 
@@ -63,7 +55,7 @@ def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundarie
     values = np.asarray(train_values, dtype=np.float64)
     if n_states < 2:
         raise ValueError("need at least 2 states")
-    _reject_non_finite(values, "training values")
+    check_finite(values, "training set")
     values = values.ravel()
     if np.unique(values).size < n_states:
         raise ValueError(
@@ -88,7 +80,7 @@ def discretize(window: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
     value is an error.
     """
     x = np.asarray(window, dtype=np.float64)
-    _reject_non_finite(x, "windows")
+    check_finite(x, "window set")
     states = np.searchsorted(bounds.edges, x, side="right")
     return np.clip(states, 1, bounds.n_states).astype(np.int64)
 

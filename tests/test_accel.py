@@ -228,12 +228,17 @@ def test_identical_rows_give_exact_zero(sets):
 
 
 def assert_nn_kernels_match_brute(a, b):
-    """min_dist_to_set(a, b) and nn_dist_excl_self(a) against the reference, NaN included."""
-    assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)),
-                          equal_nan=True)
+    """min_dist_to_set(a, b) and nn_dist_excl_self(a) against the reference."""
+    assert np.array_equal(acc.min_dist_to_set(a, b), np.sqrt(brute_d2(a, b).min(axis=1)))
     d2 = brute_d2(a, a)
     np.fill_diagonal(d2, np.inf)
-    assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)), equal_nan=True)
+    assert np.array_equal(acc.nn_dist_excl_self(a), np.sqrt(d2.min(axis=1)))
+
+
+def non_finite_message(x, name):
+    """The kernels' error for the set ``x`` called ``name``: its first NaN or inf."""
+    i, j = np.argwhere(~np.isfinite(x))[0]
+    return re.escape(f"set {name} holds a non-finite value ({x[i, j]}) at row {i}, column {j}")
 
 
 def candidate_case(sets, case):
@@ -267,17 +272,65 @@ def test_argmin_candidates_match_brute(sets, monkeypatch, case, rows):
     a, b = candidate_case(sets, case)
     if rows is not None:
         monkeypatch.setattr(acc, "_CHUNK_BUDGET", rows * max(a.shape[0], b.shape[0]))
-    assert_nn_kernels_match_brute(a, b)
+    if case == "nan_a":  # finite input only: the error names the set, row and column
+        for kernel in (lambda: acc.min_dist_to_set(a, b), lambda: acc.nn_dist_excl_self(a),
+                       lambda: acc.medoid_index(a)):
+            with pytest.raises(ValueError, match=non_finite_message(a, "a")):
+                kernel()
+    elif case == "nan_b":
+        with pytest.raises(ValueError, match=non_finite_message(b, "b")):
+            acc.min_dist_to_set(a, b)
+    else:
+        assert_nn_kernels_match_brute(a, b)
 
 
-def test_nan_row_gives_nan(sets):
+def test_non_finite_input_is_rejected_before_any_pair(monkeypatch):
+    # one inf in b used to make every pair a candidate (1,001,000 pairs, not ~1,000)
+    rng = np.random.default_rng(8)
+    a, b = rng.standard_normal((1000, 32)), rng.standard_normal((1000, 32))
+    b[417, 9] = np.inf
+
+    def never(*args):
+        raise AssertionError("a pair was recomputed")
+
+    monkeypatch.setattr(acc, "_exact_sq_dist", never)
+    with pytest.raises(ValueError, match=re.escape("set b holds a non-finite value (inf) "
+                                                   "at row 417, column 9")):
+        acc.min_dist_to_set(a, b)
+    a[123, 31] = np.nan
+    with pytest.raises(ValueError, match=re.escape("set a holds a non-finite value (nan) "
+                                                   "at row 123, column 31")):
+        acc.medoid_index(a)
+
+
+@pytest.mark.parametrize("big", [1e155, 1e200, 1e307, 1.7e308])
+def test_finite_input_near_float64_top(sets, monkeypatch, big):
+    # past the bound's premises every pair is recomputed; the reference's own
+    # squares and sums overflow to inf there, and near 1.7e308 its differences too
+    rng = np.random.default_rng(17)
+    a, b = sets[0][:40].copy(), sets[1][:30].copy()
+    a[::4] = big * rng.uniform(-1, 1, (10, 16))
+    b[::5] = big * rng.uniform(-1, 1, (6, 16))
+    b[7], a[39] = a[8], a[4]  # copies: exactly 0.0
+    # distinct rows whose distances are still finite at 1e155
+    cluster = big / 2 * (1 + 1e-3 * rng.standard_normal((20, 16)))
+    pairs = []
+
+    def counting(x, y, ii, jj):
+        pairs.append(ii.size)
+        return exact(x, y, ii, jj)
+
+    exact = acc._exact_sq_dist
+    monkeypatch.setattr(acc, "_exact_sq_dist", counting)
     with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)  # NaN is the result, not a warning
-        a, b = candidate_case(sets, "nan_a")
-        assert np.isnan(acc.min_dist_to_set(a, b)[4])
-        assert np.isnan(acc.nn_dist_excl_self(a)).all()  # every row is NaN away from row 4
-        a, b = candidate_case(sets, "nan_b")
-        assert np.isnan(acc.min_dist_to_set(a, b)).all()
+        warnings.simplefilter("error")
+        warnings.filterwarnings("ignore", r"overflow encountered in (square|subtract|reduce)",
+                                RuntimeWarning)
+        assert_kernels_match_brute(a, b)
+        assert_kernels_match_brute(cluster, cluster[::-1].copy())
+        pairs.clear()
+        assert acc.min_dist_to_set(a, b)[8] == acc.nn_dist_excl_self(a)[4] == 0.0
+    assert sum(pairs) >= a.shape[0] * b.shape[0]
 
 
 @pytest.mark.parametrize("rows", [1, 7, 50])
@@ -306,7 +359,7 @@ def test_self_kernels_reject_empty(kernel):
 
 
 def sweep_case(rng):
-    """One seeded input pair: random shapes, scale, offset, ties, copies, non-finite rows."""
+    """One seeded input pair: random shapes, scale, offset, ties, copies, non-finite values."""
     n, m = (int(x) for x in rng.integers(1, 40, size=2))
     t = 1 if rng.random() < 0.2 else int(rng.integers(2, 24))
     a, b = rng.standard_normal((n, t)), rng.standard_normal((m, t))
@@ -327,22 +380,34 @@ def sweep_case(rng):
 
 def test_kernels_match_brute_force_sweep(monkeypatch):
     rng = np.random.default_rng(2026)
+    rejected = 0
     for case in range(200):
         a, b = sweep_case(rng)
         budget = rng.choice([acc._CHUNK_BUDGET, 7 * max(a.shape[0], b.shape[0]), 1])
-        with np.errstate(all="ignore"):  # the reference itself meets inf - inf
-            d_ab = brute_d2(a, b)
-            d_aa = brute_d2(a, a)
-            want_min = np.sqrt(d_ab.min(axis=1))
-            want_med = [int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1))) for x in (a, b)]
-            np.fill_diagonal(d_aa, np.inf)
-            want_nn = np.sqrt(d_aa.min(axis=1))
         with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
             patch.setattr(acc, "_CHUNK_BUDGET", int(budget))
-            assert np.array_equal(acc.min_dist_to_set(a, b), want_min, equal_nan=True), case
-            assert np.array_equal(acc.nn_dist_excl_self(a), want_nn, equal_nan=True), case
+            finite = [np.isfinite(x).all() for x in (a, b)]
+            if not all(finite):  # the first bad set is named, a self kernel's set is a
+                rejected += 1
+                bad = [x for x, ok in zip((a, b), finite) if not ok]
+                name = "b" if finite[0] else "a"
+                with pytest.raises(ValueError, match=non_finite_message(bad[0], name)):
+                    acc.min_dist_to_set(a, b)
+                for x in bad:
+                    for kernel in (acc.nn_dist_excl_self, acc.medoid_index):
+                        with pytest.raises(ValueError, match=non_finite_message(x, "a")):
+                            kernel(x)
+                continue
+            d_aa = brute_d2(a, a)
+            want_min = np.sqrt(brute_d2(a, b).min(axis=1))
+            want_med = [int(np.argmin(np.sqrt(brute_d2(x, x)).sum(axis=1))) for x in (a, b)]
+            np.fill_diagonal(d_aa, np.inf)
+            want_nn = np.sqrt(d_aa.min(axis=1))
+            assert np.array_equal(acc.min_dist_to_set(a, b), want_min), case
+            assert np.array_equal(acc.nn_dist_excl_self(a), want_nn), case
             assert [acc.medoid_index(x) for x in (a, b)] == want_med, case
+    assert 0 < rejected < 200
 
 
 def test_common_offset_recomputes_few_pairs(monkeypatch):

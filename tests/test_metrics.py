@@ -483,3 +483,48 @@ class TestEvaluate:
         real[7, 2] = np.nan
         with pytest.raises(ValueError, match="real set holds a non-finite value"):
             evaluate(real, rng.standard_normal((30, 4)))
+
+
+# ---------------------------------------------------------------------------
+# input validation shared by every metric
+# ---------------------------------------------------------------------------
+
+PAIR_METRICS = {
+    "acf_mae": acf_mae,
+    "psd_l2": psd_l2,
+    "proto_err": proto_err,
+    "mdr": mdr,
+    "coverage": lambda r, s: coverage(r, s, 0.5),
+    "evaluate": evaluate,
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("widths", [(8, 1), (8, 9), (9, 8)])
+    @pytest.mark.parametrize("name", sorted(PAIR_METRICS))
+    def test_pair_widths_differ(self, rng, name, widths):
+        # mdr broadcast an (10, 8) real set against an (10, 1) synth set silently;
+        # psd_l2's spectra for T=8 and T=9 have one length
+        real = rng.standard_normal((10, widths[0]))
+        synth = rng.standard_normal((10, widths[1]))
+        with pytest.raises(ValueError, match="^window lengths differ between sets$"):
+            PAIR_METRICS[name](real, synth)
+
+    def test_3d_set_named(self, rng):
+        # tail_stats used to take differences along the middle axis of the 3-D array
+        with pytest.raises(ValueError, match=r"^windows set must be 1-D or 2-D, got shape "
+                                             r"\(2, 3, 4\)$"):
+            tail_stats(rng.standard_normal((2, 3, 4)))
+        flat = rng.standard_normal((6, 4))
+        cube = flat.reshape(2, 3, 4)
+        with pytest.raises(ValueError, match=r"^real set must be 1-D or 2-D"):
+            evaluate(cube, flat)
+        with pytest.raises(ValueError, match=r"^synth set must be 1-D or 2-D"):
+            evaluate(flat, cube)
+
+    def test_non_finite_value_located(self, rng):
+        real = rng.standard_normal((10, 4))
+        real[7, 2] = -np.inf
+        with pytest.raises(ValueError, match=r"^real set holds a non-finite value \(-inf\) "
+                                             r"at row 7, column 2$"):
+            mdr(real, rng.standard_normal((10, 4)))

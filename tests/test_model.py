@@ -500,13 +500,13 @@ class TestGenerate:
         model, graphs = trained
         g = graphs[:4].copy()
         g[2, 5] = np.nan
-        with pytest.raises(ValueError, match="graphs row 2"):
+        with pytest.raises(ValueError, match=r"graph set .* at row 2, column 5$"):
             model.generate(g, n_per_graph=3, seed=0)
-        with pytest.raises(ValueError, match="graphs row 2"):
+        with pytest.raises(ValueError, match=r"graph set .* at row 2, column 5$"):
             model._conditioning(g)
         w = np.zeros((3, model.config.window_length))
         w[1, 0] = np.inf
-        with pytest.raises(ValueError, match="windows row 1"):
+        with pytest.raises(ValueError, match=r"window set .* at row 1, column 0$"):
             model.ts_embeddings(w)
 
 
