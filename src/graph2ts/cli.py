@@ -86,21 +86,27 @@ def load_config_file(path) -> dict:
     return out
 
 
-def resolve_config(args) -> tuple[TrainConfig, dict]:
-    """Merge defaults, config file, and flags into a TrainConfig plus extras."""
+def resolve_config(args) -> tuple[TrainConfig, dict, dict]:
+    """Merge defaults, config file, and flags into a TrainConfig plus extras,
+    and name the source of each key not left at its default: its flag if set,
+    else the config file."""
     merged = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
     merged.update(_EXTRA_DEFAULTS)
+    sources = {}
     if args.config:
-        merged.update(load_config_file(args.config))
+        from_file = load_config_file(args.config)
+        merged.update(from_file)
+        sources.update(dict.fromkeys(from_file, args.config))
     for key in _SCHEMA:
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = val
+            sources[key] = f"--{key.replace('_', '-')}"
     extras = {k: merged.pop(k) for k in _EXTRA_DEFAULTS}
     config = TrainConfig(**merged)
     if extras["stride"] is None:
         extras["stride"] = config.window_length  # non-overlapping by default
-    return config, extras
+    return config, extras, sources
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +114,7 @@ def resolve_config(args) -> tuple[TrainConfig, dict]:
 # ---------------------------------------------------------------------------
 
 def cmd_ingest(args) -> int:
-    config, extras = resolve_config(args)
+    config, extras, _ = resolve_config(args)
     series = dataset.load_series(args.input, args.column)
     windows = dataset.make_windows(series, config.window_length, extras["stride"])
     fileio.write_windows(args.out, windows)
@@ -117,17 +123,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    config, _ = resolve_config(args)
+    config, _, sources = resolve_config(args)
     windows = fileio.read_windows(args.windows)
     if args.boundaries:
         bounds = fileio.read_boundaries(args.boundaries)
         # an n_states set by the flag or the config file must be the file's Q
-        source, given = "--n-states", args.n_states
-        if given is None and args.config:
-            source, given = args.config, load_config_file(args.config).get("n_states")
-        if given is not None and given != bounds.n_states:
+        if "n_states" in sources and config.n_states != bounds.n_states:
             raise ValueError(f"{args.boundaries} holds boundaries with Q={bounds.n_states}, "
-                             f"but {source} sets n_states={given}")
+                             f"but {sources['n_states']} sets n_states={config.n_states}")
     else:
         bounds = fit_boundaries(windows.ravel(), config.n_states)
     graphs = windows_to_graphs(windows, bounds)
@@ -138,19 +141,19 @@ def cmd_graph(args) -> int:
     return 0
 
 
-def _read_training_windows(args, config: TrainConfig) -> np.ndarray:
+def _read_training_windows(args, config: TrainConfig, sources: dict) -> np.ndarray:
     """The ``--windows`` file of ``train`` or ``ablate``, whose length must match the config."""
     windows = fileio.read_windows(args.windows)
     if windows.shape[1] != config.window_length:
         raise ValueError(f"{args.windows} holds windows of length T={windows.shape[1]}, but "
-                         f"{args.config or 'the configuration'} sets "
+                         f"{sources.get('window_length', 'the default')} sets "
                          f"window_length={config.window_length}")
     return windows
 
 
 def cmd_train(args) -> int:
-    config, extras = resolve_config(args)
-    windows = _read_training_windows(args, config)
+    config, extras, sources = resolve_config(args)
+    windows = _read_training_windows(args, config, sources)
     data = dataset.split(windows, extras["eval_fraction"], config.seed)
     model, log = train(config, data)
     outdir = Path(args.outdir)
@@ -173,7 +176,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    config, _ = resolve_config(args)
+    config = resolve_config(args)[0]
     model = fileio.load_model(args.checkpoint)
     graphs, q = fileio.read_graphs(args.graphs)
     if q != model.config.n_states:
@@ -186,7 +189,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    config, _ = resolve_config(args)
+    config = resolve_config(args)[0]
     if args.checkpoint and not args.embeddings_dir:
         raise ValueError("--checkpoint is read only with --embeddings-dir")
     real = fileio.read_windows(args.real)
@@ -196,7 +199,7 @@ def cmd_eval(args) -> int:
                          f"{args.synth} holds T={synth.shape[1]}")
     if args.embeddings_dir:  # checked before any output is written
         if not args.checkpoint:
-            raise ValueError("--embeddings-dir requires --checkpoint")
+            raise ValueError(f"--embeddings-dir {args.embeddings_dir} requires --checkpoint")
         model = fileio.load_model(args.checkpoint)
         if model.config.window_length != real.shape[1]:
             raise ValueError(f"{args.real} holds windows of length T={real.shape[1]}, but "
@@ -249,8 +252,8 @@ def _ablation_config(base: TrainConfig, label: str) -> TrainConfig:
 
 
 def cmd_ablate(args) -> int:
-    config, extras = resolve_config(args)
-    windows = _read_training_windows(args, config)
+    config, extras, sources = resolve_config(args)
+    windows = _read_training_windows(args, config, sources)
     data = dataset.split(windows, extras["eval_fraction"], config.seed)
     results = []
     for label in ABLATION_GRID:
@@ -266,7 +269,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    config, _ = resolve_config(args)
+    config = resolve_config(args)[0]
     rng = np.random.default_rng(config.seed)
     raw = dataset.synth_generate("sine_mix", GRADCHECK_BATCH, config.window_length,
                                  config.seed)

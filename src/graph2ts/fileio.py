@@ -33,7 +33,7 @@ import numpy as np
 
 from .autodiff import GRADCHECK_STEP, GRADCHECK_TOLERANCE
 from .metrics import MetricsReport, TailStats
-from .model import Graph2TS, LossBreakdown, TrainConfig, init_params
+from .model import Graph2TS, LossBreakdown, TrainConfig, param_shapes
 from .quantile_graph import QuantileBoundaries
 
 __all__ = [
@@ -297,8 +297,8 @@ def save_model(path, model: Graph2TS) -> None:
 
 
 def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig) -> None:
-    """Names and shapes as ``init_params`` makes them for ``config``; values finite."""
-    expected = init_params(config, np.random.default_rng(0))
+    """Names and shapes as ``param_shapes`` gives them for ``config``; values finite."""
+    expected = param_shapes(config)
     missing = sorted(expected.keys() - params.keys())
     if missing:
         raise ValueError(f"{path}: parameter '{missing[0]}' missing for this config")
@@ -306,11 +306,9 @@ def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig
     if extra:
         raise ValueError(f"{path}: unexpected parameter '{extra[0]}' for this config")
     for name in sorted(expected):
-        if params[name].shape != expected[name].shape:
-            raise ValueError(
-                f"{path}: parameter '{name}' has shape {params[name].shape}, "
-                f"expected {expected[name].shape}"
-            )
+        if params[name].shape != expected[name]:
+            raise ValueError(f"{path}: parameter '{name}' has shape {params[name].shape}, "
+                             f"expected {expected[name]}")
         if not np.isfinite(params[name]).all():
             raise ValueError(f"{path}: parameter '{name}' holds a non-finite value")
 

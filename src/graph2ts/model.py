@@ -14,13 +14,16 @@ from 0 to beta_max.
 Variants: ``no_graph`` swaps every conditioning vector for the flattened
 identity matrix (architecture unchanged); ``deterministic`` removes the
 posterior/latent path entirely and decodes the normalized graph embedding.
+
+``param_shapes`` states every parameter's name and shape for a config;
+``init_params`` draws over it and the checkpoint reader checks against it.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
-from typing import Iterator, get_type_hints
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,6 +43,7 @@ __all__ = [
     "TrainConfig",
     "LossBreakdown",
     "Graph2TS",
+    "param_shapes",
     "init_params",
     "encode_ts",
     "encode_graph",
@@ -127,34 +131,36 @@ class LossBreakdown:
 # parameters
 # ---------------------------------------------------------------------------
 
-def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))
+def param_shapes(config: TrainConfig) -> dict[str, tuple[int, int]]:
+    """Each parameter's name and shape for ``config``, in ``init_params`` order:
+    blocks ``ts_enc``, ``g_enc``, ``post`` (not for ``deterministic``) and ``dec``,
+    each ``w1, b1, w2, b2`` around ``embed_dim`` hidden units; then ``log_temp``."""
+    e, t, dz = config.embed_dim, config.window_length, config.latent_dim
+    blocks = [("ts_enc", t, e), ("g_enc", config.graph_dim, e)]
+    if config.variant == "deterministic":
+        blocks.append(("dec", e, t))
+    else:
+        blocks += [("post", 2 * e, 2 * dz), ("dec", e + dz, t)]
+    shapes: dict[str, tuple[int, int]] = {}
+    for prefix, n_in, n_out in blocks:
+        shapes.update({f"{prefix}.w1": (n_in, e), f"{prefix}.b1": (1, e),
+                       f"{prefix}.w2": (e, n_out), f"{prefix}.b2": (1, n_out)})
+    shapes["log_temp"] = (1, 1)
+    return shapes
 
 
 def init_params(config: TrainConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, temperature stored as its log."""
-    e = config.embed_dim
-    t = config.window_length
-    g = config.graph_dim
-    dz = config.latent_dim
-    dec_in = e if config.variant == "deterministic" else e + dz
-
-    def block(prefix: str, n_in: int, hidden: int, n_out: int) -> dict[str, np.ndarray]:
-        return {
-            f"{prefix}.w1": _glorot(rng, n_in, hidden),
-            f"{prefix}.b1": np.zeros((1, hidden)),
-            f"{prefix}.w2": _glorot(rng, hidden, n_out),
-            f"{prefix}.b2": np.zeros((1, n_out)),
-        }
-
+    """Glorot-uniform weights, drawn in ``param_shapes`` order, zero biases,
+    and the temperature stored as its log."""
     params: dict[str, np.ndarray] = {}
-    params.update(block("ts_enc", t, e, e))
-    params.update(block("g_enc", g, e, e))
-    if config.variant != "deterministic":
-        params.update(block("post", 2 * e, e, 2 * dz))
-    params.update(block("dec", dec_in, e, t))
-    params["log_temp"] = np.full((1, 1), np.log(INIT_TEMPERATURE))
+    for name, (n_in, n_out) in param_shapes(config).items():
+        if name == "log_temp":
+            params[name] = np.full((1, 1), np.log(INIT_TEMPERATURE))
+        elif ".w" in name:
+            limit = np.sqrt(6.0 / (n_in + n_out))
+            params[name] = rng.uniform(-limit, limit, size=(n_in, n_out))
+        else:
+            params[name] = np.zeros((n_in, n_out))
     return params
 
 
@@ -345,6 +351,14 @@ def objective_value(
     )
 
 
+def _rows(arr: np.ndarray, width: int, what: str) -> np.ndarray:
+    """``arr`` as finite float64 rows of ``width`` values; errors name ``what``."""
+    x = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ValueError(f"{what} has shape {x.shape}; the model takes rows of width {width}")
+    return check_finite(x, what)
+
+
 # ---------------------------------------------------------------------------
 # trained model container
 # ---------------------------------------------------------------------------
@@ -362,18 +376,13 @@ class Graph2TS:
         return {k: tape.leaf(v) for k, v in self.params.items()}
 
     def ts_embeddings(self, windows: np.ndarray) -> np.ndarray:
-        x = check_finite(np.atleast_2d(np.asarray(windows, dtype=np.float64)), "window set")
+        x = _rows(windows, self.config.window_length, "window set")
         tape = Tape(record=False)
         p = self._leaves(tape)
         return encode_ts(p, tape.leaf(x)).value
 
     def _conditioning(self, graphs: np.ndarray) -> np.ndarray:
-        g = np.atleast_2d(np.asarray(graphs, dtype=np.float64))
-        if g.shape[1] != self.config.graph_dim:
-            raise ValueError(
-                f"graphs have width {g.shape[1]}, expected {self.config.graph_dim}"
-            )
-        return conditioning_graphs(self.config, check_finite(g, "graph set"))
+        return conditioning_graphs(self.config, _rows(graphs, self.config.graph_dim, "graph set"))
 
     def generate(self, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0) -> np.ndarray:
         """Sample n_per_graph windows per conditioning graph.
@@ -430,11 +439,6 @@ class Graph2TS:
 # training
 # ---------------------------------------------------------------------------
 
-def _batches(order: np.ndarray, batch_size: int) -> Iterator[np.ndarray]:
-    for lo in range(0, order.size, batch_size):
-        yield order[lo : lo + batch_size]
-
-
 def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossBreakdown]]:
     """Seeded full training run; returns the best checkpoint and per-epoch log.
 
@@ -466,7 +470,8 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
         beta = beta_schedule(epoch, config.kl_warmup_epochs, config.beta_max)
         order = rng.permutation(n)
         sums = np.zeros(5)  # align, recon, dist, kl, total
-        for b_idx, idx in enumerate(_batches(order, config.batch_size)):
+        for b_idx, lo in enumerate(range(0, n, config.batch_size)):
+            idx = order[lo : lo + config.batch_size]
             x = x_train[idx]
             g = graphs[idx]
             eps = None

@@ -21,7 +21,6 @@ __all__ = [
     "discretize",
     "transition_matrix",
     "windows_to_graphs",
-    "reshape_graph",
     "identity_graph",
     "graph_distance",
 ]
@@ -113,13 +112,6 @@ def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.nda
     w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
     q = bounds.n_states
     return _transition_probs(discretize(w, bounds), q).reshape(w.shape[0], q * q)
-
-
-def reshape_graph(flat: np.ndarray, n_states: int) -> np.ndarray:
-    v = np.asarray(flat, dtype=np.float64)
-    if v.size != n_states * n_states:
-        raise ValueError("flattened graph has wrong length")
-    return v.reshape(n_states, n_states).copy()
 
 
 def identity_graph(n_states: int) -> np.ndarray:

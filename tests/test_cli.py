@@ -10,7 +10,7 @@ from graph2ts.cli import build_parser, load_config_file, main, resolve_config
 from graph2ts.dataset import synth_generate
 from graph2ts.metrics import evaluate
 from graph2ts.model import Graph2TS, TrainConfig, init_params
-from graph2ts.quantile_graph import QuantileBoundaries, identity_graph
+from graph2ts.quantile_graph import QuantileBoundaries, fit_boundaries, identity_graph
 
 
 @pytest.fixture
@@ -81,7 +81,7 @@ class TestConfigFile:
             from_file = build_parser().parse_args(required + ["--config", str(cfg_file)])
             from_flag = build_parser().parse_args(
                 required + [f"--{key.replace('_', '-')}", raw])
-            resolved = [resolve_config(args) for args in (from_file, from_flag)]
+            resolved = [resolve_config(args)[:2] for args in (from_file, from_flag)]
             assert resolved[0] == resolved[1], key
             config, extras = resolved[0]
             value = extras[key] if key in extras else getattr(config, key)
@@ -152,7 +152,7 @@ class TestConfigFile:
         }
         for command, args in required.items():
             parsed = build_parser().parse_args([command, *args, "--config", str(cfg)])
-            config, extras = resolve_config(parsed)
+            config, extras, _ = resolve_config(parsed)
             assert config == TrainConfig(), command
             assert extras == {"eval_fraction": 0.3, "stride": 8}, command
 
@@ -463,8 +463,79 @@ class TestRejectedInputs:
         out = tmp_path / "ablation.csv"
         assert run("ablate", "--windows", wfile, "--out", out, "--window-length", "16") == 2
         err = capsys.readouterr().err
-        assert err == (f"error: {wfile} holds windows of length T=32, but the configuration "
+        assert err == (f"error: {wfile} holds windows of length T=32, but --window-length "
                        "sets window_length=16\n")
+        assert not out.exists()
+
+    # (config file text, flags, the source named, its value); None: no error
+    @pytest.mark.parametrize("command, text, flags, named, value", [
+        ("train", "epochs = 1\n", (), "the default", 32),
+        ("train", "epochs = 1\nwindow_length = 24\n", (), "cfg", 24),
+        ("train", "epochs = 1\n", ("--window-length", "20"), "--window-length", 20),
+        ("train", "window_length = 24\n", ("--window-length", "20"), "--window-length", 20),
+        ("graph", "epochs = 1\n", (), None, None),
+        ("graph", "n_states = 5\n", (), "cfg", 5),
+        ("graph", "n_states = 7\n", ("--n-states", "5"), "--n-states", 5),
+    ], ids=["train_default", "train_file", "train_flag", "train_flag_over_file",
+            "graph_default", "graph_file", "graph_flag_over_file"])
+    def test_config_source_named(self, tmp_path, capsys, command, text, flags, named, value):
+        cfg, wfile = tmp_path / "c.cfg", tmp_path / "w16.txt"
+        cfg.write_text(text)
+        windows = synth_generate("sine_mix", 30, 16, 5)
+        fileio.write_windows(wfile, windows)
+        named = str(cfg) if named == "cfg" else named
+        if command == "train":
+            out = tmp_path / "run"
+            argv = ["train", "--windows", wfile, "--outdir", out]
+            want = f"{wfile} holds windows of length T=16, but {named} sets window_length={value}"
+        else:
+            bfile, out = tmp_path / "b.txt", tmp_path / "g.txt"
+            fileio.write_boundaries(bfile, fit_boundaries(windows.ravel(), 10))
+            argv = ["graph", "--windows", wfile, "--out", out, "--boundaries", bfile]
+            want = f"{bfile} holds boundaries with Q=10, but {named} sets n_states={value}"
+        rc = run(*argv, "--config", cfg, *flags)
+        if named is None:
+            assert rc == 0 and fileio.read_graphs(out)[1] == 10
+            return
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _bad_input(tmp_path, case):
+        """(argv, the output it must not leave, the error after 'error: ')."""
+        out = tmp_path / "out.txt"
+        real = tmp_path / "real.txt"
+        fileio.write_windows(real, synth_generate("sine_mix", 20, 8, 1))
+        bad = tmp_path / "bad.txt"
+        if case == "embeddings_dir_without_checkpoint":
+            emb = tmp_path / "emb"
+            return (["eval", "--real", real, "--synth", real, "--out", out,
+                     "--embeddings-dir", emb], out,
+                    f"--embeddings-dir {emb} requires --checkpoint")
+        if case == "config_line_without_equals":
+            bad.write_text("# run settings\nepochs 3\n")
+            return (["train", "--windows", real, "--outdir", out, "--config", bad], out,
+                    f"{bad}:2: expected 'key = value'")
+        if case == "series_not_utf8":
+            bad.write_bytes(b"1.0\n2.0\n\xff\n")
+            return (["ingest", "--input", bad, "--out", out, "--window-length", "2"], out,
+                    f"{bad} is not UTF-8 text (invalid start byte)")
+        if case == "windows_header_without_t":
+            bad.write_text("# graph2ts-windows v1\n1.0,2.0\n")
+            return ["stats", "--windows", bad, "--out", out], out, f"{bad}: header missing T="
+        bad.write_text("# graph2ts-boundaries v1 N=2\n-1.0,0.0,1.0\n")
+        return (["graph", "--windows", real, "--out", out, "--boundaries", bad], out,
+                f"{bad}: header missing Q=")
+
+    @pytest.mark.parametrize("case", [
+        "embeddings_dir_without_checkpoint", "config_line_without_equals", "series_not_utf8",
+        "windows_header_without_t", "boundaries_header_without_q",
+    ])
+    def test_rejected_input_table(self, tmp_path, capsys, case):
+        argv, out, want = self._bad_input(tmp_path, case)
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {want}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("key, value, want", [

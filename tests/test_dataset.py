@@ -41,6 +41,10 @@ class TestLoadSeries:
         with pytest.raises(ValueError, match="no parseable rows"):
             load_series(p, 0)
 
+    def test_blank_and_short_rows_skipped(self, tmp_path):
+        p = _write(tmp_path, "t,v\n1,10\n\n2\n   \n3,30\n4 40\n5\n")
+        assert np.array_equal(load_series(p, 1), [10.0, 30.0, 40.0])
+
     @pytest.mark.parametrize("sep", [",", "\t", " "])
     def test_delimiters(self, tmp_path, sep):
         p = _write(tmp_path, f"1{sep}10\n2{sep}20\n")

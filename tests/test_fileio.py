@@ -1,4 +1,5 @@
 import contextlib
+import json
 import os
 import stat
 import threading
@@ -7,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import graph2ts.model as model_mod
 from graph2ts import fileio
 from graph2ts.cli import main
 from graph2ts.metrics import evaluate
@@ -169,6 +171,50 @@ def test_checkpoint_schema_checked(tmp_path, edit, message):
     with pytest.raises(ValueError, match=message) as info:
         fileio.load_model(path)
     assert str(path) in str(info.value)
+
+
+def _with_embed_dim(path, embed_dim: int, arrays: bool = True) -> None:
+    """Rewrite the checkpoint's JSON header to claim ``embed_dim``; without
+    ``arrays``, the file ends with an array count of 0."""
+    magic, header, body = path.read_bytes().split(b"\n", 2)
+    meta = json.loads(header)
+    meta["config"]["embed_dim"] = embed_dim
+    body = body if arrays else bytes(4)
+    path.write_bytes(b"\n".join([magic, json.dumps(meta, sort_keys=True).encode(), body]))
+
+
+def test_checkpoint_reader_draws_no_model(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model called init_params")
+
+    monkeypatch.setattr(model_mod, "init_params", refuse)
+    assert not hasattr(fileio, "init_params")
+    path, _ = _small_checkpoint(tmp_path)
+    assert fileio.load_model(path).params["dec.b2"][0, 1] == -1.0
+    for edit, message in [({"drop": "dec.b1"}, "parameter 'dec.b1' missing"),
+                          ({"reshape": "ts_enc.w1"}, "'ts_enc.w1' has shape")]:
+        path, _ = _small_checkpoint(tmp_path, **edit)
+        with pytest.raises(ValueError, match=message):
+            fileio.load_model(path)
+
+
+@pytest.mark.parametrize("arrays, message", [
+    (False, r": parameter 'dec.b1' missing for this config$"),
+    (True, r": parameter 'dec.b1' has shape \(1, 1\), expected \(1, 1000000000\)$"),
+], ids=["no_arrays", "small_arrays"])
+def test_huge_header_rejected_without_allocating(tmp_path, capsys, arrays, message):
+    # a model of this width would take hundreds of GiB; its shapes take none
+    path, _ = _small_checkpoint(tmp_path)
+    _with_embed_dim(path, 10**9, arrays)
+    with pytest.raises(ValueError, match=message) as info:
+        fileio.load_model(path)
+    assert str(info.value).startswith(f"{path}: ")
+    out = tmp_path / "s.txt"
+    assert main(["generate", "--checkpoint", str(path), "--graphs", str(tmp_path / "g.txt"),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {info.value}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
+from scipy.signal import periodogram
 
 from graph2ts import metrics
 from graph2ts.metrics import (
@@ -237,6 +238,14 @@ class TestPSD:
         s = rng.standard_normal((20, 32))
         assert psd_l2(s, 2.0 * s) > 0.0
 
+    @pytest.mark.parametrize("t_len", [7, 8, 31, 32])
+    def test_matches_scipy_periodogram(self, rng, t_len):
+        # odd T has no Nyquist bin, so every bin past 0 is doubled
+        w = rng.standard_normal((50, t_len))
+        want = periodogram(w, window="hann", detrend=False, scaling="density",
+                           axis=1)[1].mean(axis=0)
+        np.testing.assert_allclose(psd_mean_curve(w), want, rtol=1e-14, atol=0)
+
 
 # ---------------------------------------------------------------------------
 # representativeness metrics
@@ -394,6 +403,9 @@ class TestVarianceDecomposition:
             lhs, rhs, gap = variance_decomposition_check(x, labels)
             assert gap <= 1e-12
 
+    def test_constant_input(self):
+        assert variance_decomposition_check(np.full(6, 2.5), np.arange(6) % 2) == (0.0, 0.0, 0.0)
+
     def test_monte_carlo_three_group_gaussian(self):
         rng = np.random.default_rng(7)
         n = 100_000
@@ -528,3 +540,21 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=r"^real set holds a non-finite value \(-inf\) "
                                              r"at row 7, column 2$"):
             mdr(real, rng.standard_normal((10, 4)))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: tail_stats(np.empty((0, 8))), r"^windows set is empty$"),
+    (lambda: evaluate(np.empty((0, 8)), np.ones((4, 8))), r"^real set is empty$"),
+    (lambda: mdr(np.ones((1, 8)), np.ones((4, 8))), r"^mdr needs at least 2 real windows, got 1$"),
+    (lambda: tail_stats(np.ones((5, 1))), r"^windows too short for first differences$"),
+    (lambda: acf_mean_curve(np.eye(8), 0), r"^max_lag must be in \[1, 7\]$"),
+    (lambda: acf_mean_curve(np.eye(8), 8), r"^max_lag must be in \[1, 7\]$"),
+    (lambda: variance_decomposition_check(np.ones(4), np.zeros(3)),
+     r"^x and labels must be non-empty and equally long$"),
+    (lambda: variance_decomposition_check(np.ones(0), np.zeros(0)),
+     r"^x and labels must be non-empty and equally long$"),
+], ids=["tail_stats_empty", "evaluate_empty_real", "mdr_one_real", "tail_stats_t1",
+        "acf_lag_0", "acf_lag_t", "decomposition_mismatched", "decomposition_empty"])
+def test_raise_paths(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

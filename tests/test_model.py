@@ -5,7 +5,7 @@ import pytest
 
 import graph2ts.model as model_mod
 from graph2ts.autodiff import Tape
-from graph2ts.dataset import split, synth_generate
+from graph2ts.dataset import DatasetSplit, split, synth_generate
 from graph2ts.model import (
     TrainConfig,
     _decoder_input,
@@ -20,6 +20,7 @@ from graph2ts.model import (
     loss_kl,
     loss_recon,
     objective_value,
+    param_shapes,
     posterior,
     reparameterize,
     train,
@@ -549,3 +550,65 @@ class TestConfigValidation:
         assert cfg.w_align == 1.0 and cfg.w_recon == 5.0 and cfg.w_dist == 1.0
         assert cfg.beta_max == 0.05 and cfg.kl_warmup_epochs == 50
         assert cfg.lr == 3e-4 and cfg.batch_size == 4096 and cfg.epochs == 300
+
+
+class TestParamShapes:
+    @pytest.mark.parametrize("widths", [{}, {"embed_dim": 6, "latent_dim": 2}],
+                             ids=["default", "small"])
+    @pytest.mark.parametrize("variant", ["full", "no_graph", "deterministic"])
+    def test_init_params_follows_the_table(self, variant, widths):
+        cfg = TrainConfig(variant=variant, **widths)
+        params = init_params(cfg, np.random.default_rng(0))
+        assert list(param_shapes(cfg).items()) == [(k, v.shape) for k, v in params.items()]
+
+    @pytest.mark.parametrize("variant", ["full", "deterministic"])
+    def test_init_params_draw_order(self, variant):
+        # block by block, w1 before w2, as the parameters were first laid out
+        cfg = dataclasses.replace(SMALL, variant=variant)
+        rng = np.random.default_rng(3)
+        e, t, dz = cfg.embed_dim, cfg.window_length, cfg.latent_dim
+        blocks = [("ts_enc", t, e), ("g_enc", cfg.graph_dim, e)]
+        if variant == "full":
+            blocks.append(("post", 2 * e, 2 * dz))
+        blocks.append(("dec", e if variant == "deterministic" else e + dz, t))
+        want = {}
+        for prefix, n_in, n_out in blocks:
+            lim1, lim2 = np.sqrt(6.0 / (n_in + e)), np.sqrt(6.0 / (e + n_out))
+            want[f"{prefix}.w1"] = rng.uniform(-lim1, lim1, size=(n_in, e))
+            want[f"{prefix}.b1"] = np.zeros((1, e))
+            want[f"{prefix}.w2"] = rng.uniform(-lim2, lim2, size=(e, n_out))
+            want[f"{prefix}.b2"] = np.zeros((1, n_out))
+        want["log_temp"] = np.full((1, 1), np.log(0.07))
+        got = init_params(cfg, np.random.default_rng(3))
+        assert list(got) == list(want)
+        assert all(np.array_equal(got[k], want[k]) for k in want)
+
+
+_EMPTY = np.empty((0, 32))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda model, data: train(dataclasses.replace(SMALL, lr=1e100), data),
+                 RuntimeError, r"^non-finite loss at epoch 0, batch 1: ",
+                 marks=[pytest.mark.filterwarnings("ignore:overflow encountered"),
+                        pytest.mark.filterwarnings("ignore:invalid value encountered")],
+                 id="train_nonfinite_loss"),
+    pytest.param(lambda model, data: train(SMALL, DatasetSplit(_EMPTY, data.eval, data.norm)),
+                 ValueError, r"^empty training split$", id="train_empty_split"),
+    pytest.param(lambda model, data: model.generate(np.eye(10).reshape(1, -1), n_per_graph=0),
+                 ValueError, r"^n_per_graph must be positive$", id="generate_zero_per_graph"),
+    pytest.param(lambda model, data: model.ts_embeddings(data.eval[:3, :20]), ValueError,
+                 r"^window set has shape \(3, 20\); the model takes rows of width 32$",
+                 id="ts_embeddings_window_width"),
+    pytest.param(lambda model, data: model.generate(np.ones((2, 9))), ValueError,
+                 r"^graph set has shape \(2, 9\); the model takes rows of width 100$",
+                 id="generate_graph_width"),
+    pytest.param(lambda model, data: model.ts_embeddings(np.zeros((2, 4, 32))), ValueError,
+                 r"^window set has shape \(2, 4, 32\); the model takes rows of width 32$",
+                 id="ts_embeddings_3d"),
+    pytest.param(lambda model, data: beta_schedule(-1, 50, 0.05), ValueError,
+                 r"^epoch must be non-negative$", id="beta_negative_epoch"),
+])
+def test_raise_paths(trained, tiny_data, call, error, message):
+    with pytest.raises(error, match=message):
+        call(trained[0], tiny_data)

@@ -7,7 +7,6 @@ from graph2ts.quantile_graph import (
     fit_boundaries,
     graph_distance,
     identity_graph,
-    reshape_graph,
     transition_matrix,
     windows_to_graphs,
 )
@@ -117,10 +116,6 @@ class TestTransitionMatrix:
 
 
 class TestFlattenAndIdentity:
-    def test_roundtrip(self, rng):
-        p = rng.random((6, 6))
-        assert np.array_equal(reshape_graph(p.ravel(), 6), p)
-
     def test_identity_graph(self):
         g = identity_graph(3)
         assert np.array_equal(g, np.eye(3))
@@ -164,3 +159,14 @@ class TestBatchGraphs:
         w[5, 0] = bad
         with pytest.raises(ValueError, match=rf"non-finite value \({bad}\) at row 4, column 5"):
             windows_to_graphs(w, b)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: fit_boundaries(np.arange(10.0), 1), r"^need at least 2 states$"),
+    (lambda: transition_matrix(np.array([1, 3, 2]), 2), r"^state out of range$"),
+    (lambda: transition_matrix(np.array([0, 1, 2]), 2), r"^state out of range$"),
+    (lambda: identity_graph(0), r"^need at least one state$"),
+], ids=["fit_one_state", "state_above_q", "state_zero", "identity_zero"])
+def test_raise_paths(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
