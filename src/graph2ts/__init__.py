@@ -17,7 +17,6 @@ from .quantile_graph import (
     fit_boundaries,
     graph_distance,
     identity_graph,
-    transition_matrix,
     windows_to_graphs,
 )
 
@@ -43,7 +42,6 @@ __all__ = [
     "synth_generate",
     "tail_stats",
     "train",
-    "transition_matrix",
     "windows_to_graphs",
     "zscore_fit_apply",
     "__version__",

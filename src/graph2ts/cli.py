@@ -5,8 +5,8 @@ Each subcommand takes `--config` and a flag only for the config keys it
 reads; `stats` reads none and takes neither. The config file holds
 `key = value` lines (# comments allowed). One file serves the whole chain, so
 it may hold any key of the schema: keys a command does not read are ignored,
-and unknown keys are rejected. Log verbosity comes from the GRAPH2TS_LOG_LEVEL
-environment variable.
+and unknown keys, or a key set twice, are rejected. Log verbosity comes from
+the GRAPH2TS_LOG_LEVEL environment variable.
 """
 
 from __future__ import annotations
@@ -54,14 +54,14 @@ GRADCHECK_BATCH = 4  # windows in the gradient check's objective
 
 def load_config_file(path) -> dict:
     """Parse `key = value` lines. Text that is not UTF-8, a key outside the
-    schema, a value that does not parse, or a value that TrainConfig or the
-    dataset rules reject is an error that names the file."""
+    schema or set twice, a value that does not parse, or a value that
+    TrainConfig or the dataset rules reject is an error that names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    out = {}
+    out, first_line = {}, {}
     for lineno, line in enumerate(lines, start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -71,6 +71,9 @@ def load_config_file(path) -> dict:
         key, raw = (s.strip() for s in line.split("=", 1))
         if key not in _SCHEMA:
             raise ValueError(f"{path}:{lineno}: unknown config key '{key}'")
+        if first_line.setdefault(key, lineno) != lineno:
+            raise ValueError(f"{path}:{lineno}: config key '{key}' already set on line "
+                             f"{first_line[key]}")
         try:
             out[key] = _SCHEMA[key](raw)
         except ValueError as exc:
@@ -369,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("ablate", help="run the variant/loss-knockout grid")
     p.add_argument("--windows", required=True)
     p.add_argument("--out", required=True)
-    _add_config_flags(p, _TRAIN_KEYS)
+    _add_config_flags(p, [k for k in _TRAIN_KEYS if k != "variant"])  # the grid sets it
     p.set_defaults(func=cmd_ablate)
 
     p = add("gradcheck", help=f"finite-difference gradient report (batch {GRADCHECK_BATCH}, "

@@ -221,11 +221,11 @@ def write_boundaries(path, bounds: QuantileBoundaries) -> None:
 
 
 def read_boundaries(path) -> QuantileBoundaries:
-    q, edges = _read_matrix(path, BOUNDS_MAGIC, "Q", lambda q: q + 1)
+    edges = _read_matrix(path, BOUNDS_MAGIC, "Q", lambda q: q + 1)[1]
     if edges.shape[0] != 1:
         raise ValueError(f"{path}: {edges.shape[0]} rows of edges, expected 1")
     try:
-        return QuantileBoundaries(edges=edges[0], n_states=q)
+        return QuantileBoundaries(edges[0])
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -339,7 +339,10 @@ def load_model(path) -> Graph2TS:
         best_epoch = meta["best_epoch"]
         if not isinstance(best_epoch, int) or isinstance(best_epoch, bool):
             raise TypeError(f"best_epoch must be of type int, got {best_epoch!r}")
-        bounds = QuantileBoundaries(edges=meta["boundaries"], n_states=config.n_states)
+        edges = np.asarray(meta["boundaries"], dtype=np.float64)
+        if edges.shape != (config.n_states + 1,):
+            raise ValueError("boundaries need exactly n_states + 1 edges")
+        bounds = QuantileBoundaries(edges)
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"{path}: bad checkpoint JSON header: {exc!r}") from None
     pos = end + 1
@@ -347,7 +350,11 @@ def load_model(path) -> Graph2TS:
     params: dict[str, np.ndarray] = {}
     for _ in range(count):
         (name_len,) = struct.unpack("<I", take(4, "an array name length"))
-        name = take(name_len, "an array name").decode("utf-8")
+        try:
+            name = take(name_len, "an array name").decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: array name at byte {pos - name_len + exc.start} "
+                             f"is not UTF-8 ({exc.reason})") from None
         rows, cols = struct.unpack("<II", take(8, f"the shape of '{name}'"))
         data = np.frombuffer(take(rows * cols * 8, f"array '{name}'"), dtype="<f8")
         params[name] = data.reshape(rows, cols).astype(np.float64)

@@ -209,10 +209,10 @@ def decode(p: dict[str, Var], inp: Var) -> Var:
 
 def conditioning_graphs(config: TrainConfig, graphs: np.ndarray) -> np.ndarray:
     """The rows the graph encoder sees: ``graphs`` itself, or for ``no_graph``
-    as many rows of the flattened identity graph."""
+    as many rows of the identity graph."""
     if config.variant != "no_graph":
         return graphs
-    return np.tile(identity_graph(config.n_states).reshape(1, -1), (graphs.shape[0], 1))
+    return np.tile(identity_graph(config.n_states), (graphs.shape[0], 1))
 
 
 # ---------------------------------------------------------------------------

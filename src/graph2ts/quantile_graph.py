@@ -2,7 +2,7 @@
 
 Windows are mapped to state sequences through globally shared quantile
 boundaries fitted on the training pool; each sequence yields a row-stochastic
-transition matrix used as the structural conditioning vector.
+transition matrix, kept flat as one Q*Q row: the structural conditioning vector.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "QuantileBoundaries",
     "fit_boundaries",
     "discretize",
-    "transition_matrix",
     "windows_to_graphs",
     "identity_graph",
     "graph_distance",
@@ -30,18 +29,22 @@ logger = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class QuantileBoundaries:
-    """Strictly increasing bin edges b_0..b_Q over z-score values."""
+    """Finite, strictly increasing bin edges b_0..b_Q over z-score values."""
 
     edges: np.ndarray
-    n_states: int
 
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
         object.__setattr__(self, "edges", edges)
-        if edges.ndim != 1 or edges.size != self.n_states + 1:
-            raise ValueError("boundaries need exactly n_states + 1 edges")
+        if edges.ndim != 1 or edges.size < 2:
+            raise ValueError("boundaries need a 1-D row of at least 2 edges")
+        check_finite(edges, "boundary edges")
         if not np.all(np.diff(edges) > 0):
             raise ValueError("boundary edges must be strictly increasing")
+
+    @property
+    def n_states(self) -> int:
+        return self.edges.size - 1
 
 
 def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundaries:
@@ -68,7 +71,7 @@ def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundarie
             bumped += 1
     if bumped:
         logger.warning("fit_boundaries: perturbed %d collapsed edge(s) apart", bumped)
-    return QuantileBoundaries(edges=edges, n_states=n_states)
+    return QuantileBoundaries(edges)
 
 
 def discretize(window: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
@@ -84,46 +87,34 @@ def discretize(window: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
     return np.clip(states, 1, bounds.n_states).astype(np.int64)
 
 
-def _transition_probs(states: np.ndarray, n_states: int) -> np.ndarray:
-    """Row-normalized transition counts per state row; unseen sources stay zero."""
-    counts = _accel.transition_counts(states, n_states).astype(np.float64)
+def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
+    """Flat transition graphs of windows of T >= 2 values, shape (N, Q*Q).
+
+    Entry i*Q + j of a graph is count(i+1 -> j+1) / count(i+1 as source); a
+    state never seen as a source keeps all-zero entries, not uniform ones, so
+    "no evidence" stays distinguishable in the conditioning vector.
+    """
+    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    if w.shape[1] < 2:
+        raise ValueError(f"windows of length T={w.shape[1]} hold no transition; need T >= 2")
+    q = bounds.n_states
+    counts = _accel.transition_counts(discretize(w, bounds), q).astype(np.float64)
     totals = counts.sum(axis=2, keepdims=True)
     np.divide(counts, totals, out=counts, where=totals > 0)
-    return counts
-
-
-def transition_matrix(states: np.ndarray, n_states: int) -> np.ndarray:
-    """Empirical first-order transition probabilities from one state sequence.
-
-    P[i, j] = count(i -> j) / count(i as source); rows of states never seen as
-    a source stay all-zero rather than being filled uniformly, so "no
-    evidence" remains distinguishable in the conditioning vector.
-    """
-    s = np.asarray(states, dtype=np.int64)
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("state sequence must be 1-D with length >= 2")
-    if s.min() < 1 or s.max() > n_states:
-        raise ValueError("state out of range")
-    return _transition_probs(s[None], n_states)[0]
-
-
-def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.ndarray:
-    """Flattened transition graphs for a batch of windows, shape (N, Q*Q)."""
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    q = bounds.n_states
-    return _transition_probs(discretize(w, bounds), q).reshape(w.shape[0], q * q)
+    return counts.reshape(w.shape[0], q * q)
 
 
 def identity_graph(n_states: int) -> np.ndarray:
+    """The flat Q*Q row of the Q x Q identity: every state returns to itself."""
     if n_states < 1:
         raise ValueError("need at least one state")
-    return np.eye(n_states)
+    return np.eye(n_states).ravel()
 
 
-def graph_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of the difference of two transition matrices."""
+def graph_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Frobenius distance of each pair of rows of two (N, Q*Q) graph sets."""
     pa = np.asarray(a, dtype=np.float64)
     pb = np.asarray(b, dtype=np.float64)
-    if pa.shape != pb.shape:
-        raise ValueError(f"graph shape mismatch: {pa.shape} vs {pb.shape}")
-    return float(np.sqrt(((pa - pb) ** 2).sum()))
+    if pa.ndim != 2 or pa.shape != pb.shape:
+        raise ValueError(f"graph sets need one (N, Q*Q) shape: {pa.shape} vs {pb.shape}")
+    return np.sqrt(((pa - pb) ** 2).sum(axis=1))

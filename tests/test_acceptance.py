@@ -15,8 +15,9 @@ from graph2ts import cli, metrics
 from graph2ts.dataset import split, synth_generate
 from graph2ts.model import TrainConfig, train
 from graph2ts.quantile_graph import (
+    QuantileBoundaries,
     discretize,
-    transition_matrix,
+    graph_distance,
     windows_to_graphs,
 )
 
@@ -62,20 +63,17 @@ def _eval_synth(model, data, seed):
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_golden_graph():
-    states = np.array([1, 2, 3, 3, 2, 1, 1, 2, 3])
-    p = transition_matrix(states, 3)
+    bounds = QuantileBoundaries(np.array([0.3, 1.1, 2.5, 3.1]))
+    values = np.array([0.6, 1.6, 2.9, 2.7, 1.4, 0.5, 0.8, 2.0, 2.8])
     expected = np.array([
         [1 / 3, 2 / 3, 0.0],
         [1 / 3, 0.0, 2 / 3],
         [0.0, 1 / 2, 1 / 2],
     ])
-    ok = np.array_equal(p, expected)
-    # the same sequence must come out of discretizing the drawn points
-    from graph2ts.quantile_graph import QuantileBoundaries
-
-    bounds = QuantileBoundaries(edges=np.array([0.3, 1.1, 2.5, 3.1]), n_states=3)
-    values = np.array([0.6, 1.6, 2.9, 2.7, 1.4, 0.5, 0.8, 2.0, 2.8])
-    ok &= np.array_equal(discretize(values, bounds), states)
+    # the drawn points discretize to the worked state sequence, and their
+    # graph is the worked matrix as one flat row
+    ok = np.array_equal(discretize(values, bounds), [1, 2, 3, 3, 2, 1, 1, 2, 3])
+    ok &= np.array_equal(windows_to_graphs(values, bounds), expected.reshape(1, 9))
     _report(1, "golden graph", ok)
     assert ok
 
@@ -273,13 +271,10 @@ def test_criterion_8_structural_consistency(protocol_runs):
     n = cond.shape[0]
     assert n >= 200
 
-    def row_distance(a, b):  # graph_distance of each pair of rows of flat graphs
-        return np.sqrt(((a - b) ** 2).sum(axis=1))
-
-    own = row_distance(cond, regen).mean()
+    own = graph_distance(cond, regen).mean()
     rng = np.random.default_rng(88)
     other_idx = (np.arange(n) + 1 + rng.integers(0, n - 1, size=n)) % n
-    other = row_distance(cond, cond[other_idx]).mean()
+    other = graph_distance(cond, cond[other_idx]).mean()
     ok = own < other
     _report(8, "structural consistency", ok, f"own={own:.4f} other={other:.4f} n={n}")
     assert ok

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,13 @@ class TestConfigFile:
         p = tmp_path / "run.cfg"
         p.write_text("learning_rate = 0.1\n")
         with pytest.raises(ValueError, match="unknown config key"):
+            load_config_file(p)
+
+    def test_key_set_twice_rejected(self, tmp_path):
+        p = tmp_path / "run.cfg"
+        p.write_text("epochs = 1\nlr = 0.01\n# once more\nepochs = 3\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:4: config key 'epochs' "
+                                             rf"already set on line 1$"):
             load_config_file(p)
 
     def test_flag_overrides_file(self, tmp_path, series_file, capsys):
@@ -96,7 +104,7 @@ class TestConfigFile:
             "ingest": {"--window-length", "--stride"},
             "graph": {"--n-states"},
             "train": train,
-            "ablate": train,
+            "ablate": train - {"--variant"},  # the grid sets each run's variant
             "generate": {"--seed"},
             "eval": {"--seed"},
             "gradcheck": {"--window-length", "--n-states", "--embed-dim", "--latent-dim",
@@ -115,7 +123,7 @@ class TestConfigFile:
             assert flags == expected[name], name
             assert takes_config == bool(flags), name
             total += len(flags) + takes_config
-        assert total == 52
+        assert total == 51
 
     @pytest.mark.parametrize("argv", [
         ("stats", "--windows", "w", "--out", "o", "--seed", "1"),
@@ -127,6 +135,7 @@ class TestConfigFile:
         ("gradcheck", "--h", "1e-5"),
         ("gradcheck", "--tolerance", "1e-4"),
         ("gradcheck", "--batch", "3"),
+        ("ablate", "--windows", "w", "--out", "o", "--variant", "deterministic"),
     ], ids=lambda argv: f"{argv[0]} {argv[-2]}")
     def test_unread_flag_is_a_usage_error(self, capsys, argv):
         with pytest.raises(SystemExit) as info:
@@ -297,7 +306,9 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("rows, want", [
         ("-1.0,0.0,1.0\n-2.0,0.0,2.0\n", "2 rows of edges, expected 1"),
         ("-1.0,1.0,1.0\n", "boundary edges must be strictly increasing"),
-    ], ids=["two_rows", "not_increasing"])
+        ("-inf,0.0,1.0\n", "row 2 holds a non-finite value"),
+        ("-1.0,0.0,inf\n", "row 2 holds a non-finite value"),
+    ], ids=["two_rows", "not_increasing", "minus_inf", "plus_inf"])
     def test_graph_rejects_bad_boundaries(self, tmp_path, capsys, rows, want):
         wfile, bfile = tmp_path / "w.txt", tmp_path / "b.txt"
         fileio.write_windows(wfile, synth_generate("sine_mix", 30, 32, 1))
@@ -307,6 +318,19 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err == f"error: {bfile}: {want}\n"
         assert not gfile.exists()
+
+    @pytest.mark.parametrize("command", ["graph", "train"])
+    def test_windows_of_one_value_rejected(self, tmp_path, capsys, command):
+        # a T=1 window holds no transition, so it has no graph to condition on
+        wfile = tmp_path / "w1.txt"
+        fileio.write_windows(wfile, synth_generate("sine_mix", 1, 32, 1).reshape(32, 1))
+        out = tmp_path / "out"
+        argv = {"graph": ("--out", out),
+                "train": ("--outdir", out, "--window-length", "1", "--epochs", "1")}[command]
+        assert run(command, "--windows", wfile, *argv) == 2
+        assert capsys.readouterr().err == ("error: windows of length T=1 hold no transition; "
+                                           "need T >= 2\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", ["-1", "-5"])
     def test_ingest_rejects_negative_column(self, tmp_path, capsys, column):
@@ -538,6 +562,18 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == f"error: {want}\n"
         assert not out.exists()
 
+    @staticmethod
+    def _tiny_checkpoint(tmp_path):
+        """A T=2, Q=2 checkpoint and a one-row graphs file for it."""
+        cfg = TrainConfig(window_length=2, n_states=2, embed_dim=1, latent_dim=1)
+        bounds = QuantileBoundaries(np.array([-1.0, 0.0, 1.0]))
+        params = init_params(cfg, np.random.default_rng(0))
+        ckpt, graphs = tmp_path / "model.g2ts", tmp_path / "g.txt"
+        fileio.save_model(ckpt, Graph2TS(config=cfg, params=params, boundaries=bounds,
+                                         best_epoch=0))
+        fileio.write_graphs(graphs, identity_graph(2)[None], 2)
+        return ckpt, graphs
+
     @pytest.mark.parametrize("key, value, want", [
         ("window_length", 2.5, "window_length must be of type int, got 2.5"),
         ("window_length", True, "window_length must be of type int, got True"),
@@ -548,27 +584,36 @@ class TestRejectedInputs:
         ("boundaries", [1.0, 0.0, 2.0], "boundary edges must be strictly increasing"),
         ("boundaries", [0.0, 1.0], "boundaries need exactly n_states + 1 edges"),
         ("boundaries", "abc", "could not convert string to float: 'abc'"),
+        ("boundaries", [-np.inf, 0.0, 1.0],
+         "boundary edges holds a non-finite value (-inf) at index 0"),
+        ("boundaries", [-1.0, 0.0, np.inf],
+         "boundary edges holds a non-finite value (inf) at index 2"),
     ], ids=["window_length_2.5", "window_length_true", "best_epoch_x", "best_epoch_1.5",
             "best_epoch_null", "boundaries_null", "boundaries_decreasing",
-            "boundaries_count", "boundaries_abc"])
+            "boundaries_count", "boundaries_abc", "boundaries_minus_inf", "boundaries_plus_inf"])
     def test_generate_bad_checkpoint_header(self, tmp_path, capsys, key, value, want):
-        cfg = TrainConfig(window_length=2, n_states=2, embed_dim=1, latent_dim=1)
-        bounds = QuantileBoundaries(edges=np.array([-1.0, 0.0, 1.0]), n_states=2)
-        params = init_params(cfg, np.random.default_rng(0))
-        ckpt = tmp_path / "model.g2ts"
-        fileio.save_model(ckpt, Graph2TS(config=cfg, params=params, boundaries=bounds,
-                                         best_epoch=0))
+        ckpt, graphs = self._tiny_checkpoint(tmp_path)
         magic, header, arrays = ckpt.read_bytes().split(b"\n", 2)
         meta = json.loads(header)
         (meta["config"] if key in meta["config"] else meta)[key] = value
         ckpt.write_bytes(b"\n".join([magic, json.dumps(meta).encode(), arrays]))
-        graphs = tmp_path / "g.txt"
-        fileio.write_graphs(graphs, identity_graph(2).reshape(1, -1), 2)
         out = tmp_path / "s.txt"
         assert run("generate", "--checkpoint", ckpt, "--graphs", graphs, "--out", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: bad checkpoint JSON header: ")
         assert want in err and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_generate_array_name_not_utf8(self, tmp_path, capsys):
+        ckpt, graphs = self._tiny_checkpoint(tmp_path)
+        blob = bytearray(ckpt.read_bytes())
+        at = blob.index(b"dec.b1")
+        blob[at] = 0xFF
+        ckpt.write_bytes(bytes(blob))
+        out = tmp_path / "s.txt"
+        assert run("generate", "--checkpoint", ckpt, "--graphs", graphs, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {ckpt}: array name at byte {at} is not "
+                                           f"UTF-8 (invalid start byte)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--curves-dir", "--embeddings-dir"])
@@ -654,5 +699,5 @@ class TestChecks:
         rc = run("gradcheck", "--variant", "no_graph", "--embed-dim", "3",
                  "--latent-dim", "1", "--seed", "2")
         assert rc == 0
-        ident = identity_graph(TrainConfig().n_states).reshape(1, -1)
+        ident = identity_graph(TrainConfig().n_states)[None]
         assert seen and all(np.array_equal(g, np.tile(ident, (4, 1))) for g in seen)

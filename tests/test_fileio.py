@@ -53,7 +53,7 @@ def test_graphs_width_validated(tmp_path, rng):
 
 
 def test_boundaries_roundtrip(tmp_path):
-    b = QuantileBoundaries(edges=np.array([-1.5, 0.0, 0.25, 2.0]), n_states=3)
+    b = QuantileBoundaries(np.array([-1.5, 0.0, 0.25, 2.0]))
     path = tmp_path / "b.txt"
     fileio.write_boundaries(path, b)
     back = fileio.read_boundaries(path)
@@ -103,7 +103,7 @@ def test_tail_stats_file(tmp_path, rng):
 def test_checkpoint_roundtrip(tmp_path):
     cfg = TrainConfig(embed_dim=8, latent_dim=2, seed=3)
     params = init_params(cfg, np.random.default_rng(3))
-    bounds = QuantileBoundaries(edges=np.linspace(-2, 2, cfg.n_states + 1), n_states=cfg.n_states)
+    bounds = QuantileBoundaries(np.linspace(-2, 2, cfg.n_states + 1))
     model = Graph2TS(config=cfg, params=params, boundaries=bounds, best_epoch=17)
     path = tmp_path / "ckpt.g2ts"
     fileio.save_model(path, model)
@@ -137,7 +137,7 @@ def _small_checkpoint(tmp_path, drop=None, reshape=None, extra=None):
         params[reshape] = params[reshape].reshape(1, -1).repeat(2, axis=0)
     if extra:
         params[extra] = np.zeros((1, 1))
-    bounds = QuantileBoundaries(edges=np.linspace(-1, 1, 3), n_states=2)
+    bounds = QuantileBoundaries(np.linspace(-1, 1, 3))
     path = tmp_path / "small.g2ts"
     model = Graph2TS(config=SMALL_CFG, params=params, boundaries=bounds, best_epoch=1)
     fileio.save_model(path, model)
@@ -245,7 +245,7 @@ def test_windows_bad_values_name_file_and_row(tmp_path, row, problem):
 def test_checkpoint_bytes_deterministic(tmp_path):
     cfg = TrainConfig(embed_dim=8, latent_dim=2, seed=3)
     params = init_params(cfg, np.random.default_rng(3))
-    bounds = QuantileBoundaries(edges=np.linspace(-2, 2, cfg.n_states + 1), n_states=cfg.n_states)
+    bounds = QuantileBoundaries(np.linspace(-2, 2, cfg.n_states + 1))
     model = Graph2TS(config=cfg, params=params, boundaries=bounds, best_epoch=0)
     p1, p2 = tmp_path / "a.g2ts", tmp_path / "b.g2ts"
     fileio.save_model(p1, model)
@@ -379,7 +379,7 @@ def test_every_float64_kind_keeps_its_bits(tmp_path, rng):
     assert q == 8 and back.tobytes() == graphs.tobytes()
 
     edges = np.concatenate([[-0.0], np.unique(np.abs(vals[vals != 0.0]))])
-    bounds = QuantileBoundaries(edges=edges, n_states=edges.size - 1)
+    bounds = QuantileBoundaries(edges)
     fileio.write_boundaries(tmp_path / "b.txt", bounds)
     back_bounds = fileio.read_boundaries(tmp_path / "b.txt")
     assert back_bounds.edges.tobytes() == edges.tobytes()

@@ -410,7 +410,7 @@ class TestNoGraphVariant:
         assert np.array_equal(emb[0], emb[-1])
         # same z on identical conditioning rows decodes identically
         g_raw = encode_graph(p, tape.leaf(np.tile(
-            identity_graph(cfg.n_states).reshape(1, -1), (4, 1))))
+            identity_graph(cfg.n_states), (4, 1))))
         z = np.random.default_rng(0).standard_normal((1, cfg.latent_dim))
         out = decode(p, _decoder_input(g_raw, tape.leaf(np.tile(z, (4, 1))), "no_graph")).value
         assert np.array_equal(out[0], out[2])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from graph2ts.quantile_graph import (
     fit_boundaries,
     graph_distance,
     identity_graph,
-    transition_matrix,
     windows_to_graphs,
 )
 
@@ -21,6 +22,49 @@ EXAMPLE_MATRIX = np.array([
     [1 / 3, 0.0, 2 / 3],
     [0.0, 1 / 2, 1 / 2],
 ])
+
+
+def graph_of_states(states, q: int) -> np.ndarray:
+    """The Q x Q graph of one state sequence, through ``discretize`` and
+    ``windows_to_graphs``: state k is drawn as the value k - 0.5 under the
+    edges 0, 1, ..., Q."""
+    bounds = QuantileBoundaries(np.arange(q + 1.0))
+    values = np.asarray(states, dtype=np.float64) - 0.5
+    assert np.array_equal(discretize(values, bounds), states)
+    return windows_to_graphs(values, bounds).reshape(q, q)
+
+
+def brute_force_graph(states, q: int) -> np.ndarray:
+    """Flat row-normalized transition counts of one state sequence, one
+    transition at a time."""
+    counts = np.zeros((q, q))
+    for src, dst in zip(states[:-1], states[1:]):
+        counts[src - 1, dst - 1] += 1.0
+    for row in counts:
+        if row.sum() > 0:
+            row /= row.sum()
+    return counts.ravel()
+
+
+class TestQuantileBoundaries:
+    def test_edges_are_the_only_field(self):
+        b = QuantileBoundaries(EXAMPLE_EDGES)
+        assert [f.name for f in dataclasses.fields(b)] == ["edges"]
+        assert b.n_states == 3
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_edge_named(self, bad):
+        edges = EXAMPLE_EDGES.copy()
+        edges[2] = bad
+        with pytest.raises(ValueError, match=rf"^boundary edges holds a non-finite value "
+                                             rf"\({bad}\) at index 2$"):
+            QuantileBoundaries(edges)
+
+    @pytest.mark.parametrize("edges", [np.eye(2), np.array([1.0]), 2.0],
+                             ids=["2d", "one_edge", "scalar"])
+    def test_not_a_row_of_edges(self, edges):
+        with pytest.raises(ValueError, match=r"^boundaries need a 1-D row of at least 2 edges$"):
+            QuantileBoundaries(edges)
 
 
 class TestFitBoundaries:
@@ -64,21 +108,21 @@ class TestFitBoundaries:
 
 class TestDiscretize:
     def test_worked_example(self):
-        b = QuantileBoundaries(edges=EXAMPLE_EDGES, n_states=3)
+        b = QuantileBoundaries(EXAMPLE_EDGES)
         assert np.array_equal(discretize(EXAMPLE_VALUES, b), EXAMPLE_STATES)
 
     def test_top_edge_closed(self):
-        b = QuantileBoundaries(edges=np.array([0.0, 1.0, 2.0]), n_states=2)
+        b = QuantileBoundaries(np.array([0.0, 1.0, 2.0]))
         assert discretize(np.array([2.0]), b)[0] == 2
 
     def test_clipping(self):
-        b = QuantileBoundaries(edges=np.array([0.0, 1.0, 2.0]), n_states=2)
+        b = QuantileBoundaries(np.array([0.0, 1.0, 2.0]))
         assert discretize(np.array([-5.0]), b)[0] == 1
         assert discretize(np.array([9.0]), b)[0] == 2
 
     def test_non_finite_named(self):
         with pytest.raises(ValueError, match=r"non-finite value \(nan\) at index 1"):
-            discretize(np.array([0.5, np.nan, 1.0]), QuantileBoundaries(EXAMPLE_EDGES, 3))
+            discretize(np.array([0.5, np.nan, 1.0]), QuantileBoundaries(EXAMPLE_EDGES))
 
     def test_monotone(self, rng):
         b = fit_boundaries(rng.standard_normal(500), 10)
@@ -89,27 +133,29 @@ class TestDiscretize:
 
 class TestTransitionMatrix:
     def test_worked_example_exact(self):
-        p = transition_matrix(EXAMPLE_STATES, 3)
-        assert np.array_equal(p, EXAMPLE_MATRIX)
+        g = windows_to_graphs(EXAMPLE_VALUES, QuantileBoundaries(EXAMPLE_EDGES))
+        assert g.shape == (1, 9)
+        assert np.array_equal(g[0], EXAMPLE_MATRIX.ravel())
 
     def test_self_loop_and_zero_row(self):
-        p = transition_matrix(np.array([1, 1, 1]), 2)
+        p = graph_of_states(np.array([1, 1, 1]), 2)
         assert p[0, 0] == 1.0
         assert (p[1] == 0.0).all()
 
     def test_single_transition(self):
-        p = transition_matrix(np.array([1, 2]), 2)
+        p = graph_of_states(np.array([1, 2]), 2)
         assert p[0, 1] == 1.0
         assert (p[1] == 0.0).all()
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            transition_matrix(np.array([1]), 2)
+        with pytest.raises(ValueError, match=r"^windows of length T=1 hold no transition; "
+                                             r"need T >= 2$"):
+            windows_to_graphs(np.zeros((4, 1)), QuantileBoundaries(EXAMPLE_EDGES))
 
     def test_rows_stochastic_or_zero(self, rng):
         for _ in range(20):
             s = rng.integers(1, 6, size=rng.integers(2, 40))
-            p = transition_matrix(s, 5)
+            p = graph_of_states(s, 5)
             sums = p.sum(axis=1)
             assert ((np.abs(sums - 1.0) <= 1e-12) | (sums == 0.0)).all()
             assert (p >= 0).all() and (p <= 1).all()
@@ -118,38 +164,48 @@ class TestTransitionMatrix:
 class TestFlattenAndIdentity:
     def test_identity_graph(self):
         g = identity_graph(3)
-        assert np.array_equal(g, np.eye(3))
+        assert np.array_equal(g, np.eye(3).ravel())
         assert identity_graph(10).sum() == 10
-        assert (identity_graph(10).sum(axis=1) == 1).all()
+        assert (identity_graph(10).reshape(10, 10).sum(axis=1) == 1).all()
 
 
 class TestGraphDistance:
     def test_zero_on_equal(self, rng):
-        p = rng.random((4, 4))
-        assert graph_distance(p, p) == 0.0
+        p = rng.random((5, 16))
+        assert np.array_equal(graph_distance(p, p), np.zeros(5))
 
     def test_antidiagonal(self):
-        assert graph_distance(np.eye(2), np.fliplr(np.eye(2))) == 2.0
+        a = np.stack([identity_graph(2), identity_graph(2)])
+        b = np.stack([np.fliplr(np.eye(2)).ravel(), identity_graph(2)])
+        assert np.array_equal(graph_distance(a, b), [2.0, 0.0])
 
     def test_symmetry_and_triangle(self, rng):
-        for _ in range(20):
-            a, b, c = rng.random((3, 4, 4))
-            assert graph_distance(a, b) == graph_distance(b, a)
-            assert graph_distance(a, c) <= graph_distance(a, b) + graph_distance(b, c) + 1e-12
+        a, b, c = rng.random((3, 20, 16))
+        assert np.array_equal(graph_distance(a, b), graph_distance(b, a))
+        assert (graph_distance(a, c) <= graph_distance(a, b) + graph_distance(b, c) + 1e-12).all()
+
+    def test_rows_are_frobenius_distances(self, rng):
+        a, b = rng.random((2, 6, 9))
+        want = [np.linalg.norm(a[i].reshape(3, 3) - b[i].reshape(3, 3)) for i in range(6)]
+        assert np.allclose(graph_distance(a, b), want, rtol=1e-15, atol=0.0)
 
     def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            graph_distance(np.eye(2), np.eye(3))
+        for a, b in [(np.zeros((1, 4)), np.zeros((1, 9))),  # widths
+                     (np.zeros((2, 4)), np.zeros((3, 4))),  # row counts
+                     (np.zeros(4), np.zeros(4))]:  # not sets of rows
+            with pytest.raises(ValueError, match=r"^graph sets need one \(N, Q\*Q\) shape: "):
+                graph_distance(a, b)
 
 
 class TestBatchGraphs:
-    def test_matches_single_window_path(self, rng):
+    def test_matches_brute_force_counts(self, rng):
         w = rng.standard_normal((40, 16))
+        w[:5] = np.sort(w[:5], axis=1)  # windows that leave some states without a source
         b = fit_boundaries(w.ravel(), 4)
         batch = windows_to_graphs(w, b)
         for i in range(40):
-            single = transition_matrix(discretize(w[i], b), 4)
-            assert np.allclose(batch[i], single.reshape(-1), atol=1e-15)
+            assert np.array_equal(batch[i], brute_force_graph(discretize(w[i], b), 4))
+        assert (batch[:5].reshape(5, 4, 4).sum(axis=2) == 0.0).any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_window_named(self, rng, bad):
@@ -163,10 +219,8 @@ class TestBatchGraphs:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: fit_boundaries(np.arange(10.0), 1), r"^need at least 2 states$"),
-    (lambda: transition_matrix(np.array([1, 3, 2]), 2), r"^state out of range$"),
-    (lambda: transition_matrix(np.array([0, 1, 2]), 2), r"^state out of range$"),
     (lambda: identity_graph(0), r"^need at least one state$"),
-], ids=["fit_one_state", "state_above_q", "state_zero", "identity_zero"])
+], ids=["fit_one_state", "identity_zero"])
 def test_raise_paths(call, message):
     with pytest.raises(ValueError, match=message):
         call()
