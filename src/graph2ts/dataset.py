@@ -91,7 +91,13 @@ def load_series(path, column: int = 0) -> np.ndarray:
 
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     """``x`` unchanged; a ValueError naming ``what`` and the first NaN or
-    infinite value of ``x``, with its row and column, or its flat index."""
+    infinite value of ``x``, with its row and column, or its flat index.
+
+    A finite sum proves every value finite without an ``x``-sized mask; a
+    sum that overflowed is confirmed value by value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(x.sum()):
+            return x
     ok = np.isfinite(x)
     if not ok.all():
         k = int(np.argmin(ok))  # the first False

@@ -32,6 +32,7 @@ from .autodiff import Tape, Var
 from .dataset import DatasetSplit, check_finite
 from .optim import ParamStore, adam_step
 from .quantile_graph import (
+    MIN_STATES,
     QuantileBoundaries,
     fit_boundaries,
     identity_graph,
@@ -67,10 +68,11 @@ LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 INIT_TEMPERATURE = 0.07
 
-# generate decodes ~this many rows at a time: a block's decoder input
-# (4096 x (embed_dim + latent_dim) float64) is ~5 MB at the defaults, where
-# one decode of 4000 graphs x 10 makes 41-51 MB temporaries that miss cache
-_GENERATE_BLOCK_ROWS = 4096
+# generate conditions, encodes and decodes ~this many output rows at a time:
+# a block's decoder input (1024 x (embed_dim + latent_dim) float64) is 1.3 MB
+# at the defaults, and a call's working memory is a few such buffers for any
+# number of graphs
+_GENERATE_BLOCK_ROWS = 1024
 
 # what a TrainConfig field of each annotated type accepts
 _FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
@@ -99,10 +101,11 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind]):
                 raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
-        for name in ("window_length", "n_states", "embed_dim", "latent_dim",
-                     "batch_size", "epochs"):
+        for name in ("window_length", "embed_dim", "latent_dim", "batch_size", "epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.n_states < MIN_STATES:
+            raise ValueError(f"n_states must be at least {MIN_STATES}, got {self.n_states}")
         for name in ("w_align", "w_recon", "w_dist", "beta_max", "lr"):
             if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
                 raise ValueError(f"{name} must be finite and non-negative")
@@ -381,9 +384,6 @@ class Graph2TS:
         p = self._leaves(tape)
         return encode_ts(p, tape.leaf(x)).value
 
-    def _conditioning(self, graphs: np.ndarray) -> np.ndarray:
-        return conditioning_graphs(self.config, _rows(graphs, self.config.graph_dim, "graph set"))
-
     def generate(self, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0) -> np.ndarray:
         """Sample n_per_graph windows per conditioning graph.
 
@@ -391,47 +391,52 @@ class Graph2TS:
         variant decodes each graph once and repeats the result (its output is
         invariant to the seed by construction).
 
-        The graphs are encoded in one pass, then decoded in blocks of whole
-        graphs of about ``_GENERATE_BLOCK_ROWS`` rows, with each block's
-        latents drawn in turn from one generator (the same stream as one
-        draw). The graphs are split evenly so that no block is a single row:
-        with OpenBLAS, a product over >= 2 rows gave the same bytes as those
-        rows of one full-size product for every layer shape tried, while a
-        one-row product takes gemv and may round differently.
+        One loop serves every variant. The graphs are split evenly into blocks
+        of whole graphs of about ``_GENERATE_BLOCK_ROWS`` output rows; each
+        block applies ``conditioning_graphs`` to its graphs, encodes them, draws
+        its latents in turn from one generator (the same stream as one draw),
+        and decodes into its rows of the ``(rows, T)`` result, so the working
+        memory is one block's, whatever the number of graphs.
 
-        Two arrays serve every block of a call: the decoder input, whose left
-        columns take each graph's embedding by broadcast and whose right
-        columns take the latents, and the result, into whose rows each
-        block's decoded windows are copied.
+        No product is a single row unless there is only one graph: with
+        OpenBLAS, a product over >= 2 rows gave the same bytes as those rows of
+        one full-size product for every layer shape tried, while a one-row
+        product takes gemv and may round differently. So the split puts >= 2
+        rows in every block, and a block of one graph out of several encodes
+        it (and for ``deterministic`` decodes it) beside a neighbouring graph,
+        keeping only its own row. The output is byte-identical to one pass
+        over the whole set.
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
-        g = self._conditioning(graphs)
+        g = _rows(graphs, self.config.graph_dim, "graph set")
         tape = Tape(record=False)
         p = self._leaves(tape)
-        g_raw = encode_graph(p, tape.leaf(g))
-        if self.config.variant == "deterministic":
-            out = decode(p, _decoder_input(g_raw, None, "deterministic")).value
-            return np.repeat(out, n_per_graph, axis=0)
         rng = np.random.default_rng(seed)
-        n_graphs, embed = g_raw.value.shape
-        latent = self.config.latent_dim
+        n_graphs = g.shape[0]
+        embed, latent = self.config.embed_dim, self.config.latent_dim
         rows = n_graphs * n_per_graph
-        # at most one block per graph, and >= 2 rows per block unless rows == 1
-        n_blocks = max(1, min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, rows // 2))
-        parts = np.array_split(g_raw.value, n_blocks)
-        most = parts[0].shape[0]  # array_split puts the larger parts first
-        inp = np.empty((most, n_per_graph, embed + latent))
         result = np.empty((rows, self.config.window_length))
-        lo = 0
-        for part in parts:
-            nb = part.shape[0]
-            n = nb * n_per_graph
-            inp[:nb, :, :embed] = part[:, None, :]
-            inp[:nb, :, embed:] = rng.standard_normal((nb, n_per_graph, latent))
-            x = tape.leaf(inp[:nb].reshape(n, embed + latent))
-            result[lo : lo + n] = decode(p, x).value
-            lo += n
+        # at most one block per graph, and >= 2 rows per block unless rows == 1
+        n_blocks = min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, max(1, rows // 2))
+        most = -(-n_graphs // max(n_blocks, 1))  # graphs in the largest block
+        inp = None if self.config.variant == "deterministic" else np.empty(
+            (most, n_per_graph, embed + latent))
+        for j in range(n_blocks):
+            lo, hi = n_graphs * j // n_blocks, n_graphs * (j + 1) // n_blocks
+            nb = hi - lo
+            # a lone graph is encoded beside a neighbour, then dropped
+            a = max(0, min(lo, n_graphs - 2))
+            b = min(max(hi, a + 2), n_graphs)
+            cond = tape.leaf(conditioning_graphs(self.config, g[a:b]))
+            out = result[lo * n_per_graph : hi * n_per_graph]
+            if inp is None:  # deterministic: no latent, one decode per graph
+                dec = decode(p, _decoder_input(encode_graph(p, cond), None, "deterministic"))
+                out.reshape(nb, n_per_graph, -1)[:] = dec.value[lo - a : hi - a, None, :]
+            else:
+                inp[:nb, :, :embed] = encode_graph(p, cond).value[lo - a : hi - a, None, :]
+                inp[:nb, :, embed:] = rng.standard_normal((nb, n_per_graph, latent))
+                out[:] = decode(p, tape.leaf(inp[:nb].reshape(nb * n_per_graph, -1))).value
         return result
 
 

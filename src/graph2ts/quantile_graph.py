@@ -16,6 +16,7 @@ from . import _accel
 from .dataset import check_finite
 
 __all__ = [
+    "MIN_STATES",
     "QuantileBoundaries",
     "fit_boundaries",
     "discretize",
@@ -25,6 +26,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+MIN_STATES = 2  # one state would make every graph the same single 1.0
 
 
 @dataclass(frozen=True)
@@ -36,8 +39,9 @@ class QuantileBoundaries:
     def __post_init__(self):
         edges = np.asarray(self.edges, dtype=np.float64)
         object.__setattr__(self, "edges", edges)
-        if edges.ndim != 1 or edges.size < 2:
-            raise ValueError("boundaries need a 1-D row of at least 2 edges")
+        if edges.ndim != 1 or edges.size < MIN_STATES + 1:
+            raise ValueError(f"boundaries need a 1-D row of at least {MIN_STATES + 1} "
+                             f"edges, got shape {edges.shape}")
         check_finite(edges, "boundary edges")
         if not np.all(np.diff(edges) > 0):
             raise ValueError("boundary edges must be strictly increasing")
@@ -55,14 +59,13 @@ def fit_boundaries(train_values: np.ndarray, n_states: int) -> QuantileBoundarie
     the smallest representable step and reported.
     """
     values = np.asarray(train_values, dtype=np.float64)
-    if n_states < 2:
-        raise ValueError("need at least 2 states")
+    if n_states < MIN_STATES:
+        raise ValueError(f"need at least {MIN_STATES} states")
     check_finite(values, "training set")
     values = values.ravel()
-    if np.unique(values).size < n_states:
-        raise ValueError(
-            f"need at least {n_states} distinct values, got {np.unique(values).size}"
-        )
+    distinct = np.unique(values).size
+    if distinct < n_states:
+        raise ValueError(f"need at least {n_states} distinct values, got {distinct}")
     edges = np.quantile(values, np.linspace(0.0, 1.0, n_states + 1))
     bumped = 0
     for k in range(1, edges.size):

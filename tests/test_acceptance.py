@@ -6,6 +6,7 @@ three fixed seeds. Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import filecmp
+import math
 
 import numpy as np
 import pytest
@@ -99,8 +100,11 @@ def test_criterion_2_gradient_correctness(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _brute_w1(a, b):
+    # both uniform measures over k = lcm(|a|, |b|) equal-mass atoms; an optimal
+    # assignment between them is an optimal transport plan (Birkhoff-von Neumann)
     a, b = np.ravel(a), np.ravel(b)
-    ra, rb = np.repeat(a, b.size), np.repeat(b, a.size)
+    k = math.lcm(a.size, b.size)
+    ra, rb = np.repeat(a, k // a.size), np.repeat(b, k // b.size)
     cost = np.abs(ra[:, None] - rb[None, :])
     r, c = linear_sum_assignment(cost)
     return cost[r, c].sum() / ra.size

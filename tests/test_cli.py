@@ -545,6 +545,16 @@ class TestRejectedInputs:
             bad.write_bytes(b"1.0\n2.0\n\xff\n")
             return (["ingest", "--input", bad, "--out", out, "--window-length", "2"], out,
                     f"{bad} is not UTF-8 text (invalid start byte)")
+        if case in ("graph_one_state_flag", "train_one_state_flag"):
+            # one state would make every graph the single value 1.0
+            command = case.split("_")[0]
+            dest = "--out" if command == "graph" else "--outdir"
+            return ([command, "--windows", real, dest, out, "--n-states", "1"], out,
+                    "n_states must be at least 2, got 1")
+        if case == "boundaries_one_state":
+            bad.write_text("# graph2ts-boundaries v1 Q=1\n-5.0,5.0\n")
+            return (["graph", "--windows", real, "--out", out, "--boundaries", bad], out,
+                    f"{bad}: boundaries need a 1-D row of at least 3 edges, got shape (2,)")
         if case == "windows_header_without_t":
             bad.write_text("# graph2ts-windows v1\n1.0,2.0\n")
             return ["stats", "--windows", bad, "--out", out], out, f"{bad}: header missing T="
@@ -554,7 +564,8 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("case", [
         "embeddings_dir_without_checkpoint", "config_line_without_equals", "series_not_utf8",
-        "windows_header_without_t", "boundaries_header_without_q",
+        "windows_header_without_t", "boundaries_header_without_q", "graph_one_state_flag",
+        "train_one_state_flag", "boundaries_one_state",
     ])
     def test_rejected_input_table(self, tmp_path, capsys, case):
         argv, out, want = self._bad_input(tmp_path, case)
@@ -588,9 +599,11 @@ class TestRejectedInputs:
          "boundary edges holds a non-finite value (-inf) at index 0"),
         ("boundaries", [-1.0, 0.0, np.inf],
          "boundary edges holds a non-finite value (inf) at index 2"),
+        ("n_states", 1, "n_states must be at least 2, got 1"),
     ], ids=["window_length_2.5", "window_length_true", "best_epoch_x", "best_epoch_1.5",
             "best_epoch_null", "boundaries_null", "boundaries_decreasing",
-            "boundaries_count", "boundaries_abc", "boundaries_minus_inf", "boundaries_plus_inf"])
+            "boundaries_count", "boundaries_abc", "boundaries_minus_inf", "boundaries_plus_inf",
+            "n_states_1"])
     def test_generate_bad_checkpoint_header(self, tmp_path, capsys, key, value, want):
         ckpt, graphs = self._tiny_checkpoint(tmp_path)
         magic, header, arrays = ckpt.read_bytes().split(b"\n", 2)

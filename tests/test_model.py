@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ import graph2ts.model as model_mod
 from graph2ts.autodiff import Tape
 from graph2ts.dataset import DatasetSplit, split, synth_generate
 from graph2ts.model import (
+    VARIANTS,
+    Graph2TS,
     TrainConfig,
     _decoder_input,
     batch_objective,
     beta_schedule,
+    conditioning_graphs,
     decode,
     encode_graph,
     encode_ts,
@@ -25,7 +29,7 @@ from graph2ts.model import (
     reparameterize,
     train,
 )
-from graph2ts.quantile_graph import identity_graph, windows_to_graphs
+from graph2ts.quantile_graph import QuantileBoundaries, identity_graph, windows_to_graphs
 
 
 SMALL = TrainConfig(embed_dim=16, latent_dim=4, epochs=4, batch_size=32, seed=7)
@@ -333,6 +337,18 @@ def trained():
     return model, graphs
 
 
+@pytest.fixture(scope="module")
+def trained_variants(trained):
+    """``trained`` and its ``no_graph`` and ``deterministic`` twins, by variant."""
+    w = synth_generate("sine_mix", 120, 32, seed=22)
+    data = split(w, 0.2, seed=22)
+    out = {"full": trained}
+    for variant in ("no_graph", "deterministic"):
+        model, _ = train(dataclasses.replace(SMALL, epochs=2, variant=variant), data)
+        out[variant] = (model, windows_to_graphs(data.eval, model.boundaries))
+    return out
+
+
 class TestTraining:
     def test_deterministic_across_runs(self, tiny_data):
         m1, log1 = train(SMALL, tiny_data)
@@ -406,7 +422,7 @@ class TestNoGraphVariant:
         real_graphs = windows_to_graphs(data.eval, model.boundaries)
         tape = Tape(record=False)
         p = {k: tape.leaf(v) for k, v in model.params.items()}
-        emb = encode_graph(p, tape.leaf(model._conditioning(real_graphs))).value
+        emb = encode_graph(p, tape.leaf(conditioning_graphs(cfg, real_graphs))).value
         assert np.array_equal(emb[0], emb[-1])
         # same z on identical conditioning rows decodes identically
         g_raw = encode_graph(p, tape.leaf(np.tile(
@@ -447,10 +463,11 @@ class TestGenerate:
 
     @staticmethod
     def _one_shot(model, graphs, n_per_graph, seed):
-        # encode, repeat, and one decode over all rows with one eps draw
+        # condition and encode every graph, repeat, and one decode over all
+        # rows with one eps draw
         tape = Tape(record=False)
         p = {k: tape.leaf(v) for k, v in model.params.items()}
-        g_raw = encode_graph(p, tape.leaf(graphs))
+        g_raw = encode_graph(p, tape.leaf(conditioning_graphs(model.config, graphs)))
         rep = tape.leaf(np.repeat(g_raw.value, n_per_graph, axis=0))
         eps = np.random.default_rng(seed).standard_normal(
             (rep.value.shape[0], model.config.latent_dim))
@@ -462,26 +479,44 @@ class TestGenerate:
         (24, 1, 5), (21, 1, 5), (24, 1, 3), (2, 1, 3), (1, 1, 5),
         (24, 3, 7), (23, 3, 4096), (24, 40, 100), (5, 40, 16),
     ])
-    def test_blocks_match_one_shot(self, trained, monkeypatch, n_graphs, n_per_graph, block):
-        model, graphs = trained
+    def test_blocks_match_one_shot(self, trained_variants, monkeypatch, n_graphs,
+                                   n_per_graph, block):
+        # every variant in one test, so the cases keep their ids
         monkeypatch.setattr(model_mod, "_GENERATE_BLOCK_ROWS", block)
-        rows = []
-        decode_fn = model_mod.decode
+        rows, enc_rows = [], []
+        decode_fn, encode_fn = model_mod.decode, model_mod.encode_graph
 
         def recording_decode(p, inp):
             rows.append(inp.value.shape[0])
             return decode_fn(p, inp)
 
+        def recording_encode(p, g):
+            enc_rows.append(g.value.shape[0])
+            return encode_fn(p, g)
+
         monkeypatch.setattr(model_mod, "decode", recording_decode)
-        out = model.generate(graphs[:n_graphs], n_per_graph=n_per_graph, seed=11)
-        want = self._one_shot(model, graphs[:n_graphs], n_per_graph, seed=11)
-        assert np.array_equal(out, want)
-        total = n_graphs * n_per_graph
-        assert sum(rows) == total
-        assert max(rows) <= block + n_per_graph
-        assert total == 1 or min(rows) > 1
-        if total > block:
-            assert len(rows) > 1
+        monkeypatch.setattr(model_mod, "encode_graph", recording_encode)
+        for variant in VARIANTS:
+            model, graphs = trained_variants[variant]
+            rows.clear()
+            enc_rows.clear()
+            out = model.generate(graphs[:n_graphs], n_per_graph=n_per_graph, seed=11)
+            want = self._one_shot(model, graphs[:n_graphs], n_per_graph, seed=11)
+            assert np.array_equal(out, want), variant
+            # one encode and one decode per block; each block encodes its own
+            # graphs, beside one neighbour when it holds one graph of several
+            assert len(enc_rows) == len(rows)
+            assert n_graphs <= sum(enc_rows) <= n_graphs + len(enc_rows)
+            assert n_graphs == 1 or min(enc_rows) > 1
+            if variant == "deterministic":  # one decoded row per encoded graph
+                assert rows == enc_rows
+                continue
+            total = n_graphs * n_per_graph
+            assert sum(rows) == total
+            assert max(rows) <= block + n_per_graph
+            assert total == 1 or min(rows) > 1
+            if total > block:
+                assert len(rows) > 1
 
     def test_calls_return_fresh_arrays(self, trained):
         model, graphs = trained
@@ -492,10 +527,27 @@ class TestGenerate:
         assert np.array_equal(a, kept)
         assert not np.array_equal(a, b)
 
-    def test_zero_graphs(self, trained):
-        model, graphs = trained
-        out = model.generate(graphs[:0], n_per_graph=3, seed=0)
-        assert out.shape == (0, model.config.window_length)
+    def test_zero_graphs(self, trained_variants):
+        for model, graphs in trained_variants.values():
+            out = model.generate(graphs[:0], n_per_graph=3, seed=0)
+            assert out.shape == (0, model.config.window_length)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_working_memory_is_one_block(self, variant):
+        # one whole-set float64 temporary (N x embed_dim or N x Q^2) is >= 32 MB here
+        cfg = TrainConfig(variant=variant)
+        model = Graph2TS(config=cfg, params=init_params(cfg, np.random.default_rng(0)),
+                         boundaries=QuantileBoundaries(np.linspace(-3.0, 3.0, 11)))
+        graphs = np.random.default_rng(1).random((40_000, cfg.graph_dim))
+        block_bytes = model_mod._GENERATE_BLOCK_ROWS * (cfg.embed_dim + cfg.latent_dim) * 8
+        tracemalloc.start()
+        try:
+            out = model.generate(graphs, n_per_graph=1, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (40_000, cfg.window_length)
+        assert peak - out.nbytes < 4 * block_bytes
 
     def test_nonfinite_input_names_row(self, trained):
         model, graphs = trained
@@ -503,8 +555,6 @@ class TestGenerate:
         g[2, 5] = np.nan
         with pytest.raises(ValueError, match=r"graph set .* at row 2, column 5$"):
             model.generate(g, n_per_graph=3, seed=0)
-        with pytest.raises(ValueError, match=r"graph set .* at row 2, column 5$"):
-            model._conditioning(g)
         w = np.zeros((3, model.config.window_length))
         w[1, 0] = np.inf
         with pytest.raises(ValueError, match=r"window set .* at row 1, column 0$"):
@@ -515,6 +565,11 @@ class TestConfigValidation:
     def test_bad_variant(self):
         with pytest.raises(ValueError):
             TrainConfig(variant="diffusion")
+
+    @pytest.mark.parametrize("q", [1, 0])
+    def test_fewer_than_two_states_rejected(self, q):
+        with pytest.raises(ValueError, match=rf"^n_states must be at least 2, got {q}$"):
+            TrainConfig(n_states=q)
 
     def test_negative_weight(self):
         with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -60,10 +61,14 @@ class TestQuantileBoundaries:
                                              rf"\({bad}\) at index 2$"):
             QuantileBoundaries(edges)
 
-    @pytest.mark.parametrize("edges", [np.eye(2), np.array([1.0]), 2.0],
-                             ids=["2d", "one_edge", "scalar"])
-    def test_not_a_row_of_edges(self, edges):
-        with pytest.raises(ValueError, match=r"^boundaries need a 1-D row of at least 2 edges$"):
+    @pytest.mark.parametrize("edges, shape", [
+        (np.eye(2), "(2, 2)"), (np.array([1.0]), "(1,)"), (2.0, "()"),
+        (np.array([-5.0, 5.0]), "(2,)"),
+    ], ids=["2d", "one_edge", "scalar", "two_edges"])
+    def test_not_a_row_of_edges(self, edges, shape):
+        # two edges bound one state, whose graphs would all be the single value 1.0
+        with pytest.raises(ValueError, match=rf"^boundaries need a 1-D row of at least 3 "
+                                             rf"edges, got shape {re.escape(shape)}$"):
             QuantileBoundaries(edges)
 
 
