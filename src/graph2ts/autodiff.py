@@ -1,9 +1,10 @@
 """Minimal reverse-mode autodiff on 2-D float64 arrays.
 
-Every op computes its forward value and hands it, with a ``backward(g)``
-closure, to one helper that guards the value against NaN/Inf and, on a
-recording tape, records the closure. ``Tape.backward`` replays the closures
-in reverse; a closure runs only if its output received a gradient.
+The tape serves training and ``grad_check`` only; a forward with no gradient
+(inference, the gradient oracle) is plain numpy in ``model``. Every op hands
+its forward value, with a ``backward(g)`` closure, to one helper that guards
+the value against NaN/Inf and records the closure. ``Tape.backward`` replays
+the closures in reverse; a closure runs only if its output received a gradient.
 Gradients accumulate by out-of-place addition (a value used twice receives
 both contributions), so an op may hand one array to several inputs.
 
@@ -61,9 +62,8 @@ class Var:
 class Tape:
     """Records backward closures; single-threaded, one backward per forward."""
 
-    def __init__(self, record: bool = True):
+    def __init__(self):
         self._ops: list[tuple[Var, Callable[[np.ndarray], None]]] = []
-        self.recording = record
 
     def leaf(self, value) -> Var:
         # leaves are not finite-checked here: every leaf feeds some op, and op
@@ -97,11 +97,10 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 def _out(
     tape: Tape, value: np.ndarray, op: str, backward: Callable[[np.ndarray], None]
 ) -> Var:
-    """Guard ``value``, wrap it, and record ``backward(g)`` if the tape records."""
+    """Guard ``value``, wrap it, and record ``backward(g)``."""
     _check_finite(value, op)
     out = Var(value, tape)
-    if tape.recording:
-        tape._ops.append((out, backward))
+    tape._ops.append((out, backward))
     return out
 
 
@@ -132,7 +131,7 @@ def mlp2(x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
         )
     h = x.value @ w1.value
     h += b1.value
-    _check_finite(h, "mlp2")  # before the ReLU, which would map NaN to 0
+    _check_finite(h, "mlp2")  # before the ReLU, which maps -inf to 0
     np.maximum(h, 0.0, out=h)
     y = h @ w2.value
     y += b2.value
@@ -343,7 +342,8 @@ def grad_check(
     ``value_fn``, when given, evaluates the same scalar directly from plain
     arrays and is used for the finite-difference probes. Supplying an
     independently written forward keeps the oracle side decoupled from the
-    tape and makes full-parameter sweeps far cheaper.
+    tape and makes full-parameter sweeps far cheaper. Without it, each probe
+    runs ``f`` on a fresh tape whose records are never replayed.
 
     A probe that straddles a nondifferentiable point (ReLU kink, sort tie
     within one step of the evaluation point) reports the average of two
@@ -368,19 +368,16 @@ def grad_check(
     work = {k: np.asarray(v, dtype=np.float64).copy() for k, v in params.items()}
 
     if value_fn is None:
-        def value_at() -> float:
-            t = Tape(record=False)
-            return float(f({k: t.leaf(v) for k, v in work.items()}).value[0, 0])
-    else:
-        def value_at() -> float:
-            return float(value_fn(work))
+        def value_fn(arrs: dict[str, np.ndarray]) -> float:
+            t = Tape()
+            return f({k: t.leaf(v) for k, v in arrs.items()}).value[0, 0]
 
     def rel_at(flat: np.ndarray, i: int, a: float, step: float) -> float:
         orig = flat[i]
         flat[i] = orig + step
-        fp = value_at()
+        fp = float(value_fn(work))
         flat[i] = orig - step
-        fm = value_at()
+        fm = float(value_fn(work))
         flat[i] = orig
         fd = (fp - fm) / (2.0 * step)
         return float(abs(a - fd) / max(abs(a), abs(fd), GRADCHECK_DENOM_FLOOR))

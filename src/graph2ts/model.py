@@ -17,6 +17,8 @@ posterior/latent path entirely and decodes the normalized graph embedding.
 
 ``param_shapes`` states every parameter's name and shape for a config;
 ``init_params`` draws over it and the checkpoint reader checks against it.
+Training runs the stages below on an autodiff tape; inference and the gradient
+oracle ``objective_value`` run the plain-numpy block ``_block``, with no tape.
 """
 
 from __future__ import annotations
@@ -68,11 +70,10 @@ LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 INIT_TEMPERATURE = 0.07
 
-# generate conditions, encodes and decodes ~this many output rows at a time:
-# a block's decoder input (1024 x (embed_dim + latent_dim) float64) is 1.3 MB
-# at the defaults, and a call's working memory is a few such buffers for any
-# number of graphs
-_GENERATE_BLOCK_ROWS = 1024
+# generate and ts_embeddings work on ~this many output rows at a time: a
+# block's decoder input (1024 x (embed_dim + latent_dim) float64) is 1.3 MB at
+# the defaults, and a call's working memory a few such buffers at any size
+_BLOCK_ROWS = 1024
 
 # what a TrainConfig field of each annotated type accepts
 _FIELD_KINDS = {int: numbers.Integral, float: numbers.Real, str: str}
@@ -101,19 +102,18 @@ class TrainConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, _FIELD_KINDS[kind]):
                 raise TypeError(f"{name} must be of type {kind.__name__}, got {value!r}")
-        for name in ("window_length", "embed_dim", "latent_dim", "batch_size", "epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.n_states < MIN_STATES:
-            raise ValueError(f"n_states must be at least {MIN_STATES}, got {self.n_states}")
-        for name in ("w_align", "w_recon", "w_dist", "beta_max", "lr"):
-            if not 0 <= getattr(self, name) < np.inf:  # NaN fails every comparison
-                raise ValueError(f"{name} must be finite and non-negative")
-        for name in ("kl_warmup_epochs", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}")
+        for names, ok, rule in (
+            (("window_length", "embed_dim", "latent_dim", "batch_size", "epochs"),
+             lambda v: v >= 1, "must be positive"),
+            (("n_states",), lambda v: v >= MIN_STATES, f"must be at least {MIN_STATES}"),
+            (("w_align", "w_recon", "w_dist", "beta_max", "lr"),  # NaN fails every comparison
+             lambda v: 0 <= v < np.inf, "must be finite and non-negative"),
+            (("kl_warmup_epochs", "seed"), lambda v: v >= 0, "must be non-negative"),
+            (("variant",), lambda v: v in VARIANTS, f"must be one of {VARIANTS}"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} {rule}, got {getattr(self, name)!r}")
 
     @property
     def graph_dim(self) -> int:
@@ -194,19 +194,9 @@ def reparameterize(mu: Var, logvar: Var, eps: np.ndarray) -> Var:
     return ad.reparam(mu, logvar, eps)
 
 
-def _decoder_input(g_raw: Var, z: Var | None, variant: str) -> Var:
-    """The decoder's input: the raw graph embedding beside the latent, or
-    for the deterministic variant the normalized graph embedding alone, so
-    that its output cannot depend on any latent draw."""
-    if variant == "deterministic":
-        return ad.l2_normalize_rows(g_raw)
-    if z is None:
-        raise ValueError("variant requires a latent sample")
-    return ad.concat_cols(g_raw, z)
-
-
 def decode(p: dict[str, Var], inp: Var) -> Var:
-    """Windows from an assembled decoder input; linear output layer."""
+    """Windows from the raw graph embedding beside the latent, or for
+    ``deterministic`` the normalized graph embedding alone; linear output layer."""
     return _mlp2(p, "dec", inp)
 
 
@@ -270,16 +260,17 @@ def batch_objective(
     All four raw losses are reported even when their weight is zero, so
     knockout runs still log every component.
     """
-    t_raw = encode_ts(p, _leaf_of(p, x))
-    g_raw = encode_graph(p, _leaf_of(p, graphs))
+    tape = p["log_temp"].tape  # inputs join as leaves on the parameters' tape
+    t_raw = encode_ts(p, tape.leaf(x))
+    g_raw = encode_graph(p, tape.leaf(graphs))
     align = loss_align(t_raw, g_raw, p["log_temp"])
     if config.variant == "deterministic":
-        x_hat = decode(p, _decoder_input(g_raw, None, config.variant))
+        x_hat = decode(p, ad.l2_normalize_rows(g_raw))
         kl = None
     else:
         mu, logvar = posterior(p, t_raw, g_raw, config.latent_dim)
         z = reparameterize(mu, logvar, eps)
-        x_hat = decode(p, _decoder_input(g_raw, z, config.variant))
+        x_hat = decode(p, ad.concat_cols(g_raw, z))
         kl = loss_kl(mu, logvar)
     recon = loss_recon(x_hat, x)
     dist = loss_dist(x_hat, x)
@@ -298,9 +289,27 @@ def batch_objective(
     return total, parts
 
 
-def _leaf_of(p: dict[str, Var], arr: np.ndarray) -> Var:
-    # inputs join the computation as leaves on the same tape as the parameters
-    return next(iter(p.values())).tape.leaf(arr)
+def _block(params: dict[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndarray:
+    """relu(x @ w1 + b1) @ w2 + b2 on block ``prefix``'s weights in plain numpy,
+    by the steps of ``ad.mlp2``'s forward (so the same bytes); a non-finite
+    pre-activation or output raises FloatingPointError naming the block."""
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
+        h = x @ params[f"{prefix}.w1"]
+        h += params[f"{prefix}.b1"]
+        # checked before the ReLU, which maps -inf to 0: a finite sum (NaN fails
+        # the comparison) proves every value finite; an overflowed one is confirmed
+        finite = abs(h.sum()) < np.inf or np.isfinite(h).all()
+        np.maximum(h, 0.0, out=h)
+        y = h @ params[f"{prefix}.w2"]
+        y += params[f"{prefix}.b2"]
+        if not (finite and (abs(y.sum()) < np.inf or np.isfinite(y).all())):
+            raise FloatingPointError(f"non-finite value in block '{prefix}'")
+    return y
+
+
+def _l2n(v: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm, as ``ad.l2_normalize_rows`` computes them."""
+    return v / np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), ad.NORM_EPS)
 
 
 def objective_value(
@@ -316,32 +325,25 @@ def objective_value(
     Kept deliberately separate from the tape ops so finite-difference probes
     check the tape against an independent evaluation of the objective.
     """
-    def mlp2(prefix: str, inp: np.ndarray) -> np.ndarray:
-        h = np.maximum(inp @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"], 0.0)
-        return h @ params[f"{prefix}.w2"] + params[f"{prefix}.b2"]
-
-    def l2n(v: np.ndarray) -> np.ndarray:
-        return v / np.maximum(np.sqrt((v * v).sum(axis=1, keepdims=True)), ad.NORM_EPS)
-
     def lse_rows(v: np.ndarray) -> np.ndarray:
         m = v.max(axis=1, keepdims=True)
         return (m + np.log(np.exp(v - m).sum(axis=1, keepdims=True)))[:, 0]
 
-    t_raw = mlp2("ts_enc", x)
-    g_raw = mlp2("g_enc", graphs)
-    s = (l2n(t_raw) @ l2n(g_raw).T) * np.exp(-params["log_temp"][0, 0])
+    t_raw = _block(params, "ts_enc", x)
+    g_raw = _block(params, "g_enc", graphs)
+    s = (_l2n(t_raw) @ _l2n(g_raw).T) * np.exp(-params["log_temp"][0, 0])
     diag = np.diagonal(s)
     align = 0.5 * ((lse_rows(s) - diag).mean() + (lse_rows(s.T) - diag).mean())
 
     if config.variant == "deterministic":
-        x_hat = mlp2("dec", l2n(g_raw))
+        x_hat = _block(params, "dec", _l2n(g_raw))
         kl = 0.0
     else:
-        post = mlp2("post", np.hstack([t_raw, g_raw]))
+        post = _block(params, "post", np.hstack([t_raw, g_raw]))
         mu = post[:, : config.latent_dim]
         logvar = np.clip(post[:, config.latent_dim :], LOGVAR_MIN, LOGVAR_MAX)
         z = mu + np.exp(0.5 * logvar) * eps
-        x_hat = mlp2("dec", np.hstack([g_raw, z]))
+        x_hat = _block(params, "dec", np.hstack([g_raw, z]))
         kl = 0.5 * (mu * mu + np.exp(logvar) - 1.0 - logvar).sum() / x.shape[0]
 
     recon = ((x_hat - x) ** 2).mean()
@@ -356,7 +358,7 @@ def objective_value(
 
 def _rows(arr: np.ndarray, width: int, what: str) -> np.ndarray:
     """``arr`` as finite float64 rows of ``width`` values; errors name ``what``."""
-    x = np.atleast_2d(np.asarray(arr, dtype=np.float64))
+    x = np.atleast_2d(np.ascontiguousarray(arr, dtype=np.float64))
     if x.ndim != 2 or x.shape[1] != width:
         raise ValueError(f"{what} has shape {x.shape}; the model takes rows of width {width}")
     return check_finite(x, what)
@@ -375,14 +377,14 @@ class Graph2TS:
     boundaries: QuantileBoundaries
     best_epoch: int = -1
 
-    def _leaves(self, tape: Tape) -> dict[str, Var]:
-        return {k: tape.leaf(v) for k, v in self.params.items()}
-
     def ts_embeddings(self, windows: np.ndarray) -> np.ndarray:
+        """Raw window embeddings, encoded over the blocks that ``_spans`` gives,
+        with the bytes of one whole-set pass."""
         x = _rows(windows, self.config.window_length, "window set")
-        tape = Tape(record=False)
-        p = self._leaves(tape)
-        return encode_ts(p, tape.leaf(x)).value
+        result = np.empty((x.shape[0], self.config.embed_dim))
+        for lo, hi in _spans(x.shape[0]):
+            result[lo:hi] = _block(self.params, "ts_enc", x[lo:hi])
+        return result
 
     def generate(self, graphs: np.ndarray, n_per_graph: int = 1, seed: int = 0) -> np.ndarray:
         """Sample n_per_graph windows per conditioning graph.
@@ -391,53 +393,52 @@ class Graph2TS:
         variant decodes each graph once and repeats the result (its output is
         invariant to the seed by construction).
 
-        One loop serves every variant. The graphs are split evenly into blocks
-        of whole graphs of about ``_GENERATE_BLOCK_ROWS`` output rows; each
-        block applies ``conditioning_graphs`` to its graphs, encodes them, draws
-        its latents in turn from one generator (the same stream as one draw),
-        and decodes into its rows of the ``(rows, T)`` result, so the working
-        memory is one block's, whatever the number of graphs.
-
-        No product is a single row unless there is only one graph: with
-        OpenBLAS, a product over >= 2 rows gave the same bytes as those rows of
-        one full-size product for every layer shape tried, while a one-row
-        product takes gemv and may round differently. So the split puts >= 2
-        rows in every block, and a block of one graph out of several encodes
-        it (and for ``deterministic`` decodes it) beside a neighbouring graph,
-        keeping only its own row. The output is byte-identical to one pass
-        over the whole set.
+        One loop serves every variant, over the blocks of whole graphs that
+        ``_spans`` gives: each block applies ``conditioning_graphs`` to its
+        graphs, encodes them, draws its latents in turn from one generator
+        (the same stream as one draw) and decodes into its rows of the result.
+        A block of one graph out of several encodes it (and for
+        ``deterministic`` decodes it) beside a neighbouring graph and keeps
+        only its own row, so the output is byte-identical to one whole-set pass.
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
         g = _rows(graphs, self.config.graph_dim, "graph set")
-        tape = Tape(record=False)
-        p = self._leaves(tape)
+        p = self.params
         rng = np.random.default_rng(seed)
         n_graphs = g.shape[0]
         embed, latent = self.config.embed_dim, self.config.latent_dim
-        rows = n_graphs * n_per_graph
-        result = np.empty((rows, self.config.window_length))
-        # at most one block per graph, and >= 2 rows per block unless rows == 1
-        n_blocks = min(-(-rows // _GENERATE_BLOCK_ROWS), n_graphs, max(1, rows // 2))
-        most = -(-n_graphs // max(n_blocks, 1))  # graphs in the largest block
+        result = np.empty((n_graphs * n_per_graph, self.config.window_length))
+        spans = _spans(n_graphs, n_per_graph)
+        most = max((hi - lo for lo, hi in spans), default=0)  # graphs in the largest block
         inp = None if self.config.variant == "deterministic" else np.empty(
             (most, n_per_graph, embed + latent))
-        for j in range(n_blocks):
-            lo, hi = n_graphs * j // n_blocks, n_graphs * (j + 1) // n_blocks
+        for lo, hi in spans:
             nb = hi - lo
             # a lone graph is encoded beside a neighbour, then dropped
             a = max(0, min(lo, n_graphs - 2))
             b = min(max(hi, a + 2), n_graphs)
-            cond = tape.leaf(conditioning_graphs(self.config, g[a:b]))
+            g_raw = _block(p, "g_enc", conditioning_graphs(self.config, g[a:b]))
             out = result[lo * n_per_graph : hi * n_per_graph]
             if inp is None:  # deterministic: no latent, one decode per graph
-                dec = decode(p, _decoder_input(encode_graph(p, cond), None, "deterministic"))
-                out.reshape(nb, n_per_graph, -1)[:] = dec.value[lo - a : hi - a, None, :]
+                dec = _block(p, "dec", _l2n(g_raw))
+                out.reshape(nb, n_per_graph, -1)[:] = dec[lo - a : hi - a, None, :]
             else:
-                inp[:nb, :, :embed] = encode_graph(p, cond).value[lo - a : hi - a, None, :]
+                inp[:nb, :, :embed] = g_raw[lo - a : hi - a, None, :]
                 inp[:nb, :, embed:] = rng.standard_normal((nb, n_per_graph, latent))
-                out[:] = decode(p, tape.leaf(inp[:nb].reshape(nb * n_per_graph, -1))).value
+                out[:] = _block(p, "dec", inp[:nb].reshape(nb * n_per_graph, -1))
         return result
+
+
+def _spans(n: int, per_item: int = 1) -> list[tuple[int, int]]:
+    """An even split of ``n`` items of ``per_item`` output rows each into spans
+    of about ``_BLOCK_ROWS`` rows, at most one per item. No span is one row
+    unless there is one row in all: with OpenBLAS, a product over >= 2 rows
+    gave the same bytes as those rows of one whole-set product for every layer
+    shape tried, while a one-row product takes gemv and may round differently."""
+    rows = n * per_item
+    k = min(-(-rows // _BLOCK_ROWS), n, max(1, rows // 2))
+    return [(n * j // k, n * (j + 1) // k) for j in range(k)]
 
 
 # ---------------------------------------------------------------------------

@@ -58,14 +58,17 @@ class TestConfigFile:
     @pytest.mark.parametrize("text, want", [
         (b"epochs = abc\n", ":1: epochs: invalid literal for int()"),
         (b"lr = 1e-3\nbeta_max = x\n", ":2: beta_max: could not convert string to float"),
-        (b"variant = nope\n", ": variant must be one of"),
-        (b"epochs = 0\n", ": epochs must be positive"),
-        (b"lr = nan\n", ": lr must be finite and non-negative"),
+        (b"variant = nope\n",
+         ": variant must be one of ('full', 'no_graph', 'deterministic'), got 'nope'\n"),
+        (b"epochs = 0\n", ": epochs must be positive, got 0\n"),
+        (b"embed_dim = -3\n", ": embed_dim must be positive, got -3\n"),
+        (b"lr = nan\n", ": lr must be finite and non-negative, got nan\n"),
+        (b"kl_warmup_epochs = -1\n", ": kl_warmup_epochs must be non-negative, got -1\n"),
         (b"seed = 1 \xff\n", ": not UTF-8 text"),
         (b"eval_fraction = 2\n", ": eval_fraction must be in (0, 1)"),
         (b"stride = 0\n", ": window_length and stride must be positive"),
-    ], ids=["int", "float_line2", "variant", "epochs_0", "lr_nan", "not_utf8",
-            "eval_fraction_2", "stride_0"])
+    ], ids=["int", "float_line2", "variant", "epochs_0", "embed_dim_negative", "lr_nan",
+            "kl_warmup_negative", "not_utf8", "eval_fraction_2", "stride_0"])
     def test_bad_value_names_the_file(self, tmp_path, capsys, text, want):
         cfg = tmp_path / "run.cfg"
         cfg.write_bytes(text)
@@ -415,6 +418,22 @@ class TestRejectedInputs:
         assert err == f"error: {ckpt}: parameter 'dec.w2' holds a non-finite value\n"
         assert not out.exists()
 
+    def test_generate_overflowing_checkpoint(self, tmp_path, capsys):
+        # finite weights whose products overflow in the decoder
+        _, rundir = _train_small(tmp_path)
+        ckpt = rundir / "checkpoint.g2ts"
+        model = fileio.load_model(ckpt)
+        for name in ("dec.w1", "dec.w2"):
+            model.params[name] *= 1e200
+        fileio.save_model(ckpt, model)
+        capsys.readouterr()
+        out = tmp_path / "s.txt"
+        rc = run("generate", "--checkpoint", ckpt,
+                 "--graphs", rundir / "eval_graphs.txt", "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: non-finite value in block 'dec'\n"
+        assert not out.exists()
+
     def test_eval_window_length_mismatch(self, tmp_path, capsys):
         real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
         fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))
@@ -671,7 +690,7 @@ class TestRejectedInputs:
         }[command]
         assert run(*argv) == 2
         where = f"{cfg}: " if command == "file" else ""
-        assert capsys.readouterr().err == f"error: {where}seed must be non-negative\n"
+        assert capsys.readouterr().err == f"error: {where}seed must be non-negative, got -1\n"
         assert not out.exists()
 
     def test_generate_allocation_failure(self, tmp_path, capsys):

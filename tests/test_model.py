@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import graph2ts.autodiff as ad
 import graph2ts.model as model_mod
 from graph2ts.autodiff import Tape
 from graph2ts.dataset import DatasetSplit, split, synth_generate
@@ -11,7 +12,6 @@ from graph2ts.model import (
     VARIANTS,
     Graph2TS,
     TrainConfig,
-    _decoder_input,
     batch_objective,
     beta_schedule,
     conditioning_graphs,
@@ -35,8 +35,8 @@ from graph2ts.quantile_graph import QuantileBoundaries, identity_graph, windows_
 SMALL = TrainConfig(embed_dim=16, latent_dim=4, epochs=4, batch_size=32, seed=7)
 
 
-def _leaves(params, record=False):
-    tape = Tape(record=record)
+def _leaves(params):
+    tape = Tape()
     return tape, {k: tape.leaf(v) for k, v in params.items()}
 
 
@@ -86,14 +86,14 @@ class TestPosterior:
 
 class TestReparameterize:
     def test_zero_eps_gives_mu(self, rng):
-        tape = Tape(record=False)
+        tape = Tape()
         mu = tape.leaf(rng.standard_normal((3, 4)))
         logvar = tape.leaf(rng.standard_normal((3, 4)))
         z = reparameterize(mu, logvar, np.zeros((3, 4)))
         assert np.array_equal(z.value, mu.value)
 
     def test_unit_logvar_zero(self, rng):
-        tape = Tape(record=False)
+        tape = Tape()
         mu = tape.leaf(np.zeros((2, 3)))
         e = rng.standard_normal((2, 3))
         z = reparameterize(mu, tape.leaf(np.zeros((2, 3))), e)
@@ -101,7 +101,7 @@ class TestReparameterize:
 
     def test_monte_carlo_variance(self):
         rng = np.random.default_rng(0)
-        tape = Tape(record=False)
+        tape = Tape()
         logvar_val = 0.7
         n = 100_000
         mu = tape.leaf(np.zeros((n, 1)))
@@ -116,8 +116,8 @@ class TestDecode:
         g_raw = encode_graph(p, tape.leaf(rng.random((2, 100))))
         z1 = tape.leaf(rng.standard_normal((2, 4)))
         z2 = tape.leaf(rng.standard_normal((2, 4)))
-        a = decode(p, _decoder_input(g_raw, z1, "full")).value
-        b = decode(p, _decoder_input(g_raw, z2, "full")).value
+        a = decode(p, ad.concat_cols(g_raw, z1)).value
+        b = decode(p, ad.concat_cols(g_raw, z2)).value
         assert a.shape == (2, 32)
         assert not np.array_equal(a, b)
 
@@ -126,20 +126,21 @@ class TestDecode:
         params = init_params(cfg, np.random.default_rng(1))
         tape, p = _leaves(params)
         g_raw = encode_graph(p, tape.leaf(rng.random((3, 100))))
-        a = decode(p, _decoder_input(g_raw, None, "deterministic")).value
-        b = decode(p, _decoder_input(g_raw, None, "deterministic")).value
+        a = decode(p, ad.l2_normalize_rows(g_raw)).value
+        b = decode(p, ad.l2_normalize_rows(g_raw)).value
         assert np.array_equal(a, b)
 
     def test_full_requires_z(self, small_params, rng):
-        tape, p = _leaves(small_params)
-        g_raw = encode_graph(p, tape.leaf(rng.random((2, 100))))
-        with pytest.raises(ValueError):
-            _decoder_input(g_raw, None, "full")
+        # a full step without a latent draw has nothing to decode
+        _, p = _leaves(small_params)
+        x, g = rng.standard_normal((2, 32)), rng.random((2, 100))
+        with pytest.raises(ValueError, match="reparam shape mismatch"):
+            batch_objective(p, x, g, None, SMALL, beta=0.0)
 
 
 class TestLossAlign:
     def _align(self, t_emb, g_emb, temp=0.07):
-        tape = Tape(record=False)
+        tape = Tape()
         return float(
             loss_align(
                 tape.leaf(t_emb), tape.leaf(g_emb), tape.leaf([[np.log(temp)]])
@@ -174,12 +175,12 @@ class TestLossAlign:
 
 class TestLossRecon:
     def test_identical_zero(self, rng):
-        tape = Tape(record=False)
+        tape = Tape()
         x = rng.standard_normal((3, 5))
         assert float(loss_recon(tape.leaf(x), x).value[0, 0]) == 0.0
 
     def test_unit_offset(self):
-        tape = Tape(record=False)
+        tape = Tape()
         assert float(loss_recon(tape.leaf([[1.0, 1.0]]), np.zeros((1, 2))).value[0, 0]) == 1.0
 
     def test_gradient_formula(self, rng):
@@ -193,24 +194,24 @@ class TestLossRecon:
 
 class TestLossDist:
     def test_permutation_zero(self, rng):
-        tape = Tape(record=False)
+        tape = Tape()
         x = rng.standard_normal((1, 6))
         perm = x[:, np.random.default_rng(0).permutation(6)]
         assert float(loss_dist(tape.leaf(perm), x).value[0, 0]) == 0.0
 
     def test_swap_zero(self):
-        tape = Tape(record=False)
+        tape = Tape()
         assert float(loss_dist(tape.leaf([[1.0, 0.0]]), np.array([[0.0, 1.0]])).value[0, 0]) == 0.0
 
     def test_sorted_pairs(self):
-        tape = Tape(record=False)
+        tape = Tape()
         v = float(loss_dist(tape.leaf([[1.0, 1.0]]), np.array([[0.0, 2.0]])).value[0, 0])
         assert v == 1.0
 
 
 class TestLossKL:
     def _kl(self, mu, logvar):
-        tape = Tape(record=False)
+        tape = Tape()
         return float(loss_kl(tape.leaf(mu), tape.leaf(logvar)).value[0, 0])
 
     def test_standard_normal_zero(self):
@@ -270,7 +271,7 @@ class TestObjective:
     def test_recombination_identity(self):
         cfg = SMALL
         params, x, g, eps = self._setup(cfg)
-        tape, p = _leaves(params, record=False)
+        tape, p = _leaves(params)
         total, parts = batch_objective(p, x, g, eps, cfg, beta=0.031)
         recombo = (
             cfg.w_align * parts.align
@@ -284,7 +285,7 @@ class TestObjective:
         for variant in ("full", "deterministic"):
             cfg = dataclasses.replace(SMALL, variant=variant)
             params, x, g, eps = self._setup(cfg)
-            tape, p = _leaves(params, record=False)
+            tape, p = _leaves(params)
             total, _ = batch_objective(p, x, g, eps, cfg, beta=0.02)
             plain = objective_value(params, x, g, eps, cfg, beta=0.02)
             assert float(total.value[0, 0]) == pytest.approx(plain, abs=1e-12)
@@ -297,7 +298,7 @@ class TestObjective:
         # slice_cols x2, clamp, sort_rows and the 6 loss ops (4)
         cfg = dataclasses.replace(SMALL, variant=variant)
         params, x, g, eps = self._setup(cfg)
-        tape, p = _leaves(params, record=True)
+        tape, p = _leaves(params)
         batch_objective(p, x, g, eps, cfg, beta=0.02)
         assert len(tape._ops) == n_ops
 
@@ -308,7 +309,7 @@ class TestObjective:
             params, x, g, eps = self._setup(cfg)
             for name in ("ts_enc.w2", "ts_enc.b2", "g_enc.w2", "g_enc.b2"):
                 params[name] = np.zeros_like(params[name])
-            _, p = _leaves(params, record=False)
+            _, p = _leaves(params)
             total, _ = batch_objective(p, x, g, eps, cfg, beta=0.02)
             plain = objective_value(params, x, g, eps, cfg, beta=0.02)
             assert np.isfinite(plain)
@@ -317,7 +318,7 @@ class TestObjective:
     def test_deterministic_has_no_kl(self):
         cfg = dataclasses.replace(SMALL, variant="deterministic")
         params, x, g, eps = self._setup(cfg)
-        _, p = _leaves(params, record=False)
+        _, p = _leaves(params)
         _, parts = batch_objective(p, x, g, eps, cfg, beta=0.05)
         assert parts.kl == 0.0
 
@@ -420,7 +421,7 @@ class TestNoGraphVariant:
         model, _ = train(cfg, data)
         # conditioning is the identity graph regardless of the input graphs
         real_graphs = windows_to_graphs(data.eval, model.boundaries)
-        tape = Tape(record=False)
+        tape = Tape()
         p = {k: tape.leaf(v) for k, v in model.params.items()}
         emb = encode_graph(p, tape.leaf(conditioning_graphs(cfg, real_graphs))).value
         assert np.array_equal(emb[0], emb[-1])
@@ -428,7 +429,7 @@ class TestNoGraphVariant:
         g_raw = encode_graph(p, tape.leaf(np.tile(
             identity_graph(cfg.n_states), (4, 1))))
         z = np.random.default_rng(0).standard_normal((1, cfg.latent_dim))
-        out = decode(p, _decoder_input(g_raw, tape.leaf(np.tile(z, (4, 1))), "no_graph")).value
+        out = decode(p, ad.concat_cols(g_raw, tape.leaf(np.tile(z, (4, 1))))).value
         assert np.array_equal(out[0], out[2])
 
 
@@ -463,15 +464,22 @@ class TestGenerate:
 
     @staticmethod
     def _one_shot(model, graphs, n_per_graph, seed):
-        # condition and encode every graph, repeat, and one decode over all
-        # rows with one eps draw
-        tape = Tape(record=False)
-        p = {k: tape.leaf(v) for k, v in model.params.items()}
-        g_raw = encode_graph(p, tape.leaf(conditioning_graphs(model.config, graphs)))
-        rep = tape.leaf(np.repeat(g_raw.value, n_per_graph, axis=0))
+        # in plain numpy: condition and encode every graph, repeat, and one
+        # decode over all rows with one eps draw
+        p = model.params
+
+        def block(prefix, x):
+            h = np.maximum(x @ p[f"{prefix}.w1"] + p[f"{prefix}.b1"], 0.0)
+            return h @ p[f"{prefix}.w2"] + p[f"{prefix}.b2"]
+
+        g_raw = block("g_enc", conditioning_graphs(model.config, graphs))
+        rep = np.repeat(g_raw, n_per_graph, axis=0)
+        if model.config.variant == "deterministic":
+            norms = np.sqrt((rep * rep).sum(axis=1, keepdims=True))
+            return block("dec", rep / np.maximum(norms, ad.NORM_EPS))
         eps = np.random.default_rng(seed).standard_normal(
-            (rep.value.shape[0], model.config.latent_dim))
-        return decode(p, _decoder_input(rep, tape.leaf(eps), model.config.variant)).value
+            (rep.shape[0], model.config.latent_dim))
+        return block("dec", np.hstack([rep, eps]))
 
     # (graphs, n_per_graph, block rows); 21 x 1 in blocks of 5 would leave a
     # 1-row tail under a fixed-size split
@@ -482,20 +490,15 @@ class TestGenerate:
     def test_blocks_match_one_shot(self, trained_variants, monkeypatch, n_graphs,
                                    n_per_graph, block):
         # every variant in one test, so the cases keep their ids
-        monkeypatch.setattr(model_mod, "_GENERATE_BLOCK_ROWS", block)
+        monkeypatch.setattr(model_mod, "_BLOCK_ROWS", block)
         rows, enc_rows = [], []
-        decode_fn, encode_fn = model_mod.decode, model_mod.encode_graph
+        block_fn = model_mod._block
 
-        def recording_decode(p, inp):
-            rows.append(inp.value.shape[0])
-            return decode_fn(p, inp)
+        def recording_block(params, prefix, x):
+            {"dec": rows, "g_enc": enc_rows}[prefix].append(x.shape[0])
+            return block_fn(params, prefix, x)
 
-        def recording_encode(p, g):
-            enc_rows.append(g.value.shape[0])
-            return encode_fn(p, g)
-
-        monkeypatch.setattr(model_mod, "decode", recording_decode)
-        monkeypatch.setattr(model_mod, "encode_graph", recording_encode)
+        monkeypatch.setattr(model_mod, "_block", recording_block)
         for variant in VARIANTS:
             model, graphs = trained_variants[variant]
             rows.clear()
@@ -539,7 +542,7 @@ class TestGenerate:
         model = Graph2TS(config=cfg, params=init_params(cfg, np.random.default_rng(0)),
                          boundaries=QuantileBoundaries(np.linspace(-3.0, 3.0, 11)))
         graphs = np.random.default_rng(1).random((40_000, cfg.graph_dim))
-        block_bytes = model_mod._GENERATE_BLOCK_ROWS * (cfg.embed_dim + cfg.latent_dim) * 8
+        block_bytes = model_mod._BLOCK_ROWS * (cfg.embed_dim + cfg.latent_dim) * 8
         tracemalloc.start()
         try:
             out = model.generate(graphs, n_per_graph=1, seed=0)
@@ -561,9 +564,83 @@ class TestGenerate:
             model.ts_embeddings(w)
 
 
+class TestInference:
+    """``generate`` and ``ts_embeddings`` run the plain block, with no tape."""
+
+    @pytest.mark.parametrize("n_windows,block", [(24, 5), (21, 5), (2, 3), (1, 5), (23, 4096)])
+    def test_ts_embeddings_blocks_match_one_shot(self, trained, monkeypatch, n_windows, block):
+        model, _ = trained
+        monkeypatch.setattr(model_mod, "_BLOCK_ROWS", block)
+        rows, block_fn = [], model_mod._block
+
+        def recording_block(params, prefix, x):
+            rows.append(x.shape[0])
+            return block_fn(params, prefix, x)
+
+        monkeypatch.setattr(model_mod, "_block", recording_block)
+        x = np.random.default_rng(2).standard_normal((n_windows, model.config.window_length))
+        p = model.params
+        h = np.maximum(x @ p["ts_enc.w1"] + p["ts_enc.b1"], 0.0)
+        assert np.array_equal(model.ts_embeddings(x), h @ p["ts_enc.w2"] + p["ts_enc.b2"])
+        assert sum(rows) == n_windows and max(rows) <= block + 1
+        assert n_windows == 1 or min(rows) > 1
+        assert n_windows <= block or len(rows) > 1
+
+    def test_ts_embeddings_working_memory_is_one_block(self):
+        # the whole-set hidden layer (N x embed_dim float64) is 39 MiB here
+        cfg = TrainConfig()
+        model = Graph2TS(config=cfg, params=init_params(cfg, np.random.default_rng(0)),
+                         boundaries=QuantileBoundaries(np.linspace(-3.0, 3.0, 11)))
+        windows = np.random.default_rng(1).standard_normal((40_000, cfg.window_length))
+        block_bytes = model_mod._BLOCK_ROWS * cfg.embed_dim * 8
+        tracemalloc.start()
+        try:
+            out = model.ts_embeddings(windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (40_000, cfg.embed_dim)
+        assert peak - out.nbytes < 4 * block_bytes
+
+    def test_runs_without_a_tape(self, trained_variants, monkeypatch):
+        # a second inference path through the tape would fail here
+        def no_tape(*args, **kwargs):
+            raise AssertionError("inference built a tape")
+
+        monkeypatch.setattr(model_mod, "Tape", no_tape)
+        monkeypatch.setattr(ad, "Tape", no_tape)
+        for model, graphs in trained_variants.values():
+            out = model.generate(graphs[:5], n_per_graph=3, seed=0)
+            assert out.shape == (15, model.config.window_length) and np.isfinite(out).all()
+        model, _ = trained_variants["full"]
+        emb = model.ts_embeddings(np.zeros((4, model.config.window_length)))
+        assert emb.shape == (4, model.config.embed_dim)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_overflow_names_the_block(self, trained_variants, variant):
+        # finite weights whose products overflow
+        model, graphs = trained_variants[variant]
+        params = dict(model.params)
+        for name in ("dec.w1", "dec.w2", "ts_enc.w1", "ts_enc.w2"):
+            params[name] = params[name] * 1e200
+        bad = dataclasses.replace(model, params=params)
+        with pytest.raises(FloatingPointError, match=r"^non-finite value in block 'dec'$"):
+            bad.generate(graphs[:4], n_per_graph=2, seed=0)
+        with pytest.raises(FloatingPointError, match=r"^non-finite value in block 'ts_enc'$"):
+            bad.ts_embeddings(np.ones((3, model.config.window_length)))
+
+    def test_block_checks_the_pre_activation(self):
+        # -inf before the ReLU becomes 0 after it, and the output is finite
+        params = {"b.w1": np.full((2, 1), -1e308), "b.b1": np.zeros((1, 1)),
+                  "b.w2": np.ones((1, 1)), "b.b2": np.full((1, 1), 0.5)}
+        with pytest.raises(FloatingPointError, match=r"^non-finite value in block 'b'$"):
+            model_mod._block(params, "b", np.ones((3, 2)))
+
+
 class TestConfigValidation:
     def test_bad_variant(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^variant must be one of \('full', 'no_graph', "
+                                             r"'deterministic'\), got 'diffusion'$"):
             TrainConfig(variant="diffusion")
 
     @pytest.mark.parametrize("q", [1, 0])
@@ -572,19 +649,20 @@ class TestConfigValidation:
             TrainConfig(n_states=q)
 
     def test_negative_weight(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^w_recon must be finite and non-negative, got -1.0$"):
             TrainConfig(w_recon=-1.0)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("name", ["w_align", "w_recon", "w_dist", "beta_max", "lr"])
     def test_nonfinite_float_rejected(self, name, value):
         # NaN passes a bare `< 0` check
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
+        with pytest.raises(ValueError,
+                           match=rf"^{name} must be finite and non-negative, got {value!r}$"):
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["kl_warmup_epochs", "seed"])
     def test_negative_count_rejected(self, name):
-        with pytest.raises(ValueError, match=f"{name} must be non-negative"):
+        with pytest.raises(ValueError, match=rf"^{name} must be non-negative, got -1$"):
             TrainConfig(**{name: -1})
 
     @pytest.mark.parametrize("name, value", [
