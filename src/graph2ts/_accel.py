@@ -45,7 +45,8 @@ s^2 fl(d_ij)| <= err_i`` for every ``j``.
   is still an n-term sum, so the slack covers it. Stage 2 is the same form in
   float64 (``u_w = u``) over the stage-1 rows against all rows, and keeps the
   rows within its slack of the least of their sums. Those rows are re-summed
-  exactly and the lowest index among the exact minima wins.
+  exactly, one at a time (the reference's per-pair operations, then one
+  contiguous sum), and the lowest index among the exact minima wins.
 
 The bound. Let ``u = 2**-53``, ``u_w`` the working unit roundoff (``2**-24``
 in float32), ``tiny`` and ``tiny_w`` the smallest normal numbers of float64
@@ -260,13 +261,7 @@ def medoid_index(a: np.ndarray) -> int:
         sums[lo:hi] = np.sqrt(d2, out=d2).sum(axis=1)
         err[lo:hi] = e
     cand = cand[_near_min(sums, err, n, np.float64)]
-    exact = np.empty(cand.size)
-    cols = np.arange(n)
-    step = max(1, _CHUNK_BUDGET // a.size)
-    for lo in range(0, cand.size, step):
-        rows = cand[lo:lo + step]
-        d2 = _exact_sq_dist(a, a, np.repeat(rows, n), np.tile(cols, rows.size))
-        exact[lo:lo + step] = np.sqrt(d2).reshape(rows.size, n).sum(axis=1)
+    exact = [np.sqrt(((a[i] - a) ** 2).sum(axis=1)).sum() for i in cand]
     return int(cand[np.argmin(exact)])  # argmin takes the lowest index on ties
 
 

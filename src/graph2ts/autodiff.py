@@ -3,10 +3,11 @@
 The tape serves training and ``grad_check`` only; a forward with no gradient
 (inference, the gradient oracle) is plain numpy in ``model``. Every op hands
 its forward value, with a ``backward(g)`` closure, to one helper that guards
-the value against NaN/Inf and records the closure. ``Tape.backward`` replays
-the closures in reverse; a closure runs only if its output received a gradient.
-Gradients accumulate by out-of-place addition (a value used twice receives
-both contributions), so an op may hand one array to several inputs.
+the value with ``dataset.all_finite``, which warns of nothing, and records the
+closure. ``Tape.backward`` replays the closures in reverse; a closure runs only
+if its output received a gradient. Gradients accumulate by out-of-place
+addition (a value used twice receives both contributions), so an op may hand
+one array to several inputs.
 
 The model's two-layer blocks are a single op, ``mlp2``
 (``relu(x @ w1 + b1) @ w2 + b2``), which keeps only the post-activation
@@ -27,6 +28,8 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+
+from .dataset import all_finite
 
 __all__ = [
     "Tape",
@@ -88,9 +91,7 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # fast path: NaN/Inf poison the sum; a large finite array can overflow it,
-    # so an inf sum is confirmed elementwise before raising
-    if not np.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    if not all_finite(arr):
         raise FloatingPointError(f"non-finite value produced by op '{op}'")
 
 

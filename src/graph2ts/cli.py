@@ -213,6 +213,8 @@ def cmd_eval(args) -> int:
     except ValueError as err:
         raise ValueError(f"cannot score {args.synth} (synth) against {args.real} (real): "
                          f"{err}") from None
+    if args.embeddings_dir:  # before any output, so an encoder fault leaves none
+        embeddings = model.ts_embeddings(real), model.ts_embeddings(synth)
     # made after scoring, so a scoring error leaves no directory behind, and
     # before the report, so a path that cannot be a directory leaves no report
     for out_dir in (args.curves_dir, args.embeddings_dir):
@@ -230,9 +232,8 @@ def cmd_eval(args) -> int:
                 name = f"{kind}_{side}"
                 fileio.write_curve(cdir / f"{name}.csv", name, curve(w))
     if args.embeddings_dir:
-        edir = Path(args.embeddings_dir)
-        fileio.write_embeddings(edir / "real_embeddings.txt", model.ts_embeddings(real))
-        fileio.write_embeddings(edir / "synth_embeddings.txt", model.ts_embeddings(synth))
+        for side, emb in zip(("real", "synth"), embeddings):
+            fileio.write_embeddings(Path(args.embeddings_dir) / f"{side}_embeddings.txt", emb)
     return 0
 
 

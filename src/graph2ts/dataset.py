@@ -17,6 +17,7 @@ __all__ = [
     "DatasetSplit",
     "load_series",
     "make_windows",
+    "all_finite",
     "check_finite",
     "check_windowing",
     "check_eval_fraction",
@@ -89,22 +90,21 @@ def load_series(path, column: int = 0) -> np.ndarray:
     return np.array(values)
 
 
+def all_finite(x: np.ndarray) -> bool:
+    """Whether every value of ``x`` is finite, with no warning. A finite sum
+    proves it with no ``x``-sized mask; an overflowed one is checked by value."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return bool(np.isfinite(x.sum()) or np.isfinite(x).all())
+
+
 def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     """``x`` unchanged; a ValueError naming ``what`` and the first NaN or
-    infinite value of ``x``, with its row and column, or its flat index.
-
-    A finite sum proves every value finite without an ``x``-sized mask; a
-    sum that overflowed is confirmed value by value."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if np.isfinite(x.sum()):
-            return x
-    ok = np.isfinite(x)
-    if not ok.all():
-        k = int(np.argmin(ok))  # the first False
-        where = ("row %d, column %d" % divmod(k, x.shape[1]) if x.ndim == 2
-                 else f"index {k}")
-        raise ValueError(f"{what} holds a non-finite value ({x.flat[k]}) at {where}")
-    return x
+    infinite value of ``x``, with its row and column, or its flat index."""
+    if all_finite(x):
+        return x
+    k = int(np.argmin(np.isfinite(x)))  # the first False
+    where = "row %d, column %d" % divmod(k, x.shape[1]) if x.ndim == 2 else f"index {k}"
+    raise ValueError(f"{what} holds a non-finite value ({x.flat[k]}) at {where}")
 
 
 def check_windowing(window_length: int, stride: int) -> None:

@@ -32,6 +32,7 @@ from typing import NoReturn
 import numpy as np
 
 from .autodiff import GRADCHECK_STEP, GRADCHECK_TOLERANCE
+from .dataset import all_finite
 from .metrics import MetricsReport, TailStats
 from .model import Graph2TS, LossBreakdown, TrainConfig, param_shapes
 from .quantile_graph import QuantileBoundaries
@@ -156,7 +157,7 @@ def _read_matrix(path, magic: str, key: str, width_of) -> tuple[int, np.ndarray]
                 rows = _parse(body)
             except ValueError:
                 rows = None
-            if rows is None or rows.shape[1] != width or not np.isfinite(rows).all():
+            if rows is None or rows.shape[1] != width or not all_finite(rows):
                 body.seek(start)
                 _raise_first_fault(path, body, width)
     except UnicodeDecodeError as exc:
@@ -178,7 +179,7 @@ def _raise_first_fault(path, body, width: int) -> NoReturn:
             raise ValueError(f"{path}: row {i}: {msg}") from None
         if row.shape[1] != width:
             raise ValueError(f"{path}: row {i} has {row.shape[1]} values, expected {width}")
-        if not np.isfinite(row).all():
+        if not all_finite(row):
             raise ValueError(f"{path}: row {i} holds a non-finite value")
     raise ValueError(f"{path}: rows do not parse as a whole")
 
@@ -309,7 +310,7 @@ def _check_param_schema(path, params: dict[str, np.ndarray], config: TrainConfig
         if params[name].shape != expected[name]:
             raise ValueError(f"{path}: parameter '{name}' has shape {params[name].shape}, "
                              f"expected {expected[name]}")
-        if not np.isfinite(params[name]).all():
+        if not all_finite(params[name]):
             raise ValueError(f"{path}: parameter '{name}' holds a non-finite value")
 
 

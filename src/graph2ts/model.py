@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .dataset import DatasetSplit, check_finite
+from .dataset import DatasetSplit, all_finite, check_finite
 from .optim import ParamStore, adam_step
 from .quantile_graph import (
     MIN_STATES,
@@ -296,13 +296,11 @@ def _block(params: dict[str, np.ndarray], prefix: str, x: np.ndarray) -> np.ndar
     with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN are raised below
         h = x @ params[f"{prefix}.w1"]
         h += params[f"{prefix}.b1"]
-        # checked before the ReLU, which maps -inf to 0: a finite sum (NaN fails
-        # the comparison) proves every value finite; an overflowed one is confirmed
-        finite = abs(h.sum()) < np.inf or np.isfinite(h).all()
+        finite = all_finite(h)  # before the ReLU, which maps -inf to 0
         np.maximum(h, 0.0, out=h)
         y = h @ params[f"{prefix}.w2"]
         y += params[f"{prefix}.b2"]
-        if not (finite and (abs(y.sum()) < np.inf or np.isfinite(y).all())):
+        if not (finite and all_finite(y)):
             raise FloatingPointError(f"non-finite value in block '{prefix}'")
     return y
 
@@ -485,10 +483,11 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
                 eps = rng.standard_normal((idx.size, config.latent_dim))
             tape = Tape()
             leaves = {k: tape.leaf(v) for k, v in store.params.items()}
-            try:
-                total, parts = batch_objective(leaves, x, g, eps, config, beta)
-                tape.backward(total)
-                adam_step(store, {k: leaves[k].grad for k in store.params}, config.lr)
+            try:  # every op output and gradient is guarded, so numpy need not warn
+                with np.errstate(over="ignore", invalid="ignore"):
+                    total, parts = batch_objective(leaves, x, g, eps, config, beta)
+                    tape.backward(total)
+                    adam_step(store, {k: leaves[k].grad for k in store.params}, config.lr)
             except FloatingPointError as err:
                 raise RuntimeError(
                     f"non-finite loss at epoch {epoch}, batch {b_idx}: {err}"
@@ -506,7 +505,7 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
             best_total = entry.total
             best_params = store.copy_params()
             best_epoch = epoch
-            bad = [k for k, v in best_params.items() if not np.isfinite(v).all()]
+            bad = [k for k, v in best_params.items() if not all_finite(v)]
             if bad:  # the epoch's last update comes after its loss was measured
                 raise RuntimeError(f"parameter '{bad[0]}' is non-finite after epoch {epoch}")
 

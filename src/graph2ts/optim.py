@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import all_finite
+
 __all__ = ["ParamStore", "adam_step"]
 
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -42,7 +44,7 @@ def adam_step(store: ParamStore, grads: dict[str, np.ndarray], lr: float) -> Non
             raise ValueError(f"missing gradient for parameter '{name}'")
         if g.shape != store.params[name].shape:
             raise ValueError(f"gradient shape mismatch for parameter '{name}'")
-        if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+        if not all_finite(g):
             raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
     store.step += 1
     t = store.step

@@ -109,8 +109,8 @@ def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.nda
 
 def identity_graph(n_states: int) -> np.ndarray:
     """The flat Q*Q row of the Q x Q identity: every state returns to itself."""
-    if n_states < 1:
-        raise ValueError("need at least one state")
+    if n_states < MIN_STATES:
+        raise ValueError(f"need at least {MIN_STATES} states")
     return np.eye(n_states).ravel()
 
 

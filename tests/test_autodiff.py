@@ -378,7 +378,6 @@ class TestTapeMechanics:
         with pytest.raises(FloatingPointError, match="gauss_kl"):
             ad.gauss_kl(t.leaf([[0.0]]), t.leaf([[1e4]]))
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_nonfinite_guard_passes_large_finite_values(self):
         # the fast-path sum overflows to inf, yet every element is finite
         t = Tape()

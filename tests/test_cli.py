@@ -434,6 +434,25 @@ class TestRejectedInputs:
         assert capsys.readouterr().err == "error: non-finite value in block 'dec'\n"
         assert not out.exists()
 
+    def test_eval_overflowing_encoder_writes_nothing(self, tmp_path, capsys):
+        # the embeddings are computed before the report, the metric lines and
+        # the directory, so an encoder that overflows leaves none of them
+        _, rundir = _train_small(tmp_path)
+        ckpt = rundir / "checkpoint.g2ts"
+        model = fileio.load_model(ckpt)
+        for name in ("ts_enc.w1", "ts_enc.w2"):
+            model.params[name] *= 1e200
+        fileio.save_model(ckpt, model)
+        capsys.readouterr()
+        wfile, out, emb = tmp_path / "w.txt", tmp_path / "rep.txt", tmp_path / "emb"
+        rc = run("eval", "--real", wfile, "--synth", wfile, "--out", out,
+                 "--embeddings-dir", emb, "--checkpoint", ckpt)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: non-finite value in block 'ts_enc'\n"
+        assert not out.exists() and not emb.exists()
+
     def test_eval_window_length_mismatch(self, tmp_path, capsys):
         real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
         fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))

@@ -228,6 +228,46 @@ def test_checkpoint_nonfinite_parameter_rejected(tmp_path, bad):
     assert str(path) in str(info.value)
 
 
+def _through_block(tmp_path, row):
+    eye = np.eye(2)
+    params = {"b.w1": eye, "b.b1": np.zeros((1, 2)), "b.w2": eye, "b.b2": np.zeros((1, 2))}
+    return (lambda: model_mod._block(params, "b", np.array([row])), FloatingPointError,
+            "non-finite value in block 'b'")
+
+
+def _through_windows_file(tmp_path, row):
+    path = tmp_path / "w.txt"
+    path.write_text("# graph2ts-windows v1 T=2\n" + ",".join(map(repr, row)) + "\n")
+    return (lambda: fileio.read_windows(path), ValueError,
+            f"{path}: row 2 holds a non-finite value")
+
+
+def _through_checkpoint(tmp_path, row):
+    path, _ = _small_checkpoint(tmp_path)
+    model = fileio.load_model(path)
+    model.params["dec.b2"][0] = row
+    fileio.save_model(path, model)
+    return (lambda: fileio.load_model(path).params["dec.b2"], ValueError,
+            f"{path}: parameter 'dec.b2' holds a non-finite value")
+
+
+@pytest.mark.parametrize("bad", [None, np.nan, np.inf, -np.inf],
+                         ids=["finite", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("guard", [_through_block, _through_windows_file, _through_checkpoint],
+                         ids=["model_block", "read_windows", "load_model"])
+def test_guard_passes_large_finite_values_silently(tmp_path, guard, bad):
+    # [1e308, 1e308] overflows the guard's fast-path sum, yet every value is
+    # finite: it passes with no warning, while a NaN or an infinity beside a
+    # 1e308 value still raises the guard's own error
+    call, error, message = guard(tmp_path, [1e308, 1e308 if bad is None else bad])
+    if bad is None:
+        assert np.array_equal(call(), [[1e308, 1e308]])
+        return
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("row, problem", [
     ("1.0,nan", "non-finite"),
     ("inf,1.0", "non-finite"),

@@ -403,8 +403,6 @@ class TestTraining:
         with pytest.raises(ValueError, match="length 32, config window_length is 16"):
             train(cfg, tiny_data)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nonfinite_snapshot_not_returned(self, tiny_data):
         # one Adam step of lr=1e308 overflows parameters after the epoch's
         # loss was measured, so that epoch still looks like the best one
@@ -723,8 +721,6 @@ _EMPTY = np.empty((0, 32))
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda model, data: train(dataclasses.replace(SMALL, lr=1e100), data),
                  RuntimeError, r"^non-finite loss at epoch 0, batch 1: ",
-                 marks=[pytest.mark.filterwarnings("ignore:overflow encountered"),
-                        pytest.mark.filterwarnings("ignore:invalid value encountered")],
                  id="train_nonfinite_loss"),
     pytest.param(lambda model, data: train(SMALL, DatasetSplit(_EMPTY, data.eval, data.norm)),
                  ValueError, r"^empty training split$", id="train_empty_split"),

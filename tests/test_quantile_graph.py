@@ -224,8 +224,9 @@ class TestBatchGraphs:
 
 @pytest.mark.parametrize("call, message", [
     (lambda: fit_boundaries(np.arange(10.0), 1), r"^need at least 2 states$"),
-    (lambda: identity_graph(0), r"^need at least one state$"),
-], ids=["fit_one_state", "identity_zero"])
+    (lambda: identity_graph(0), r"^need at least 2 states$"),
+    (lambda: identity_graph(1), r"^need at least 2 states$"),
+], ids=["fit_one_state", "identity_zero", "identity_one"])
 def test_raise_paths(call, message):
     with pytest.raises(ValueError, match=message):
         call()
