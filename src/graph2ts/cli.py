@@ -239,7 +239,10 @@ def cmd_eval(args) -> int:
 
 def cmd_stats(args) -> int:
     windows = fileio.read_windows(args.windows)
-    x_stats, dx_stats = metrics.tail_stats(windows)
+    try:
+        x_stats, dx_stats = metrics.tail_stats(windows)
+    except ValueError as err:
+        raise ValueError(f"{args.windows}: {err}") from None
     fileio.write_tail_stats(args.out, x_stats, dx_stats)
     print(
         f"stats: x kurtosis={x_stats.excess_kurtosis:.4f} "

@@ -2,6 +2,8 @@
 
 A raw series is a plain 1-D float64 array, and window sets are plain (N, T)
 float64 arrays throughout the package; one row is one fixed-length window.
+``as_rows`` is the one rule for a set of rows (windows, graphs, embeddings):
+every function that takes such a set from a caller passes it through it.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ __all__ = [
     "make_windows",
     "all_finite",
     "check_finite",
+    "as_rows",
     "check_windowing",
     "check_eval_fraction",
     "zscore_fit_apply",
@@ -43,8 +46,8 @@ class NormStats:
     std: float
 
     def __post_init__(self):
-        if not (self.std > 0):
-            raise ValueError("std must be positive")
+        if not 0 < self.std < np.inf:
+            raise ValueError("std must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -107,6 +110,18 @@ def check_finite(x: np.ndarray, what: str) -> np.ndarray:
     raise ValueError(f"{what} holds a non-finite value ({x.flat[k]}) at {where}")
 
 
+def as_rows(x, what: str, width: int | None = None) -> np.ndarray:
+    """``x`` as a C-contiguous float64 (N, width) array of finite values, a
+    1-D ``x`` being one row; errors name ``what``. An empty set passes. An
+    ``x`` that already is such an array is returned itself, not a copy."""
+    rows = np.atleast_2d(np.ascontiguousarray(x, dtype=np.float64))
+    if rows.ndim != 2:
+        raise ValueError(f"{what} must be 1-D or 2-D, got shape {rows.shape}")
+    if width is not None and rows.shape[1] != width:
+        raise ValueError(f"{what} has shape {rows.shape}; expected rows of width {width}")
+    return check_finite(rows, what)
+
+
 def check_windowing(window_length: int, stride: int) -> None:
     if window_length < 1 or stride < 1:
         raise ValueError("window_length and stride must be positive")
@@ -127,11 +142,16 @@ def make_windows(series: np.ndarray, window_length: int, stride: int) -> np.ndar
 
 def zscore_fit_apply(windows: np.ndarray) -> tuple[np.ndarray, NormStats]:
     """Normalize by the pooled mean and population std of all window values."""
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
-    mean = float(w.mean())
-    std = float(w.std())  # population convention, ddof=0
+    w = as_rows(windows, "window set")
+    if w.size == 0:
+        raise ValueError("empty window set; cannot z-score")
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is raised below
+        mean = float(w.mean())
+        std = float(w.std())  # population convention, ddof=0
     if std == 0.0:
         raise ValueError("zero pooled variance; cannot z-score")
+    if not std < np.inf:
+        raise ValueError(f"the pooled std of the window set overflows ({std}); cannot z-score")
     return (w - mean) / std, NormStats(mean=mean, std=std)
 
 
@@ -147,7 +167,7 @@ def split(windows: np.ndarray, eval_fraction: float, seed: int) -> DatasetSplit:
     Fitting normalization on the train split and applying it to eval avoids
     leaking eval statistics into training.
     """
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    w = as_rows(windows, "window set")
     n = w.shape[0]
     check_eval_fraction(eval_fraction)
     n_train = int(math.ceil((1.0 - eval_fraction) * n - 1e-9))
@@ -158,7 +178,8 @@ def split(windows: np.ndarray, eval_fraction: float, seed: int) -> DatasetSplit:
     train_raw = w[perm[:n_train]]
     eval_raw = w[perm[n_train:]]
     train, norm = zscore_fit_apply(train_raw)
-    eval_norm = (eval_raw - norm.mean) / norm.std
+    with np.errstate(over="ignore"):  # an eval value far outside the training range
+        eval_norm = check_finite((eval_raw - norm.mean) / norm.std, "normalized eval split")
     return DatasetSplit(train=train, eval=eval_norm, norm=norm)
 
 

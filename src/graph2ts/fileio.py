@@ -32,7 +32,7 @@ from typing import NoReturn
 import numpy as np
 
 from .autodiff import GRADCHECK_STEP, GRADCHECK_TOLERANCE
-from .dataset import all_finite
+from .dataset import all_finite, as_rows
 from .metrics import MetricsReport, TailStats
 from .model import Graph2TS, LossBreakdown, TrainConfig, param_shapes
 from .quantile_graph import QuantileBoundaries
@@ -195,7 +195,7 @@ def _header_int(header: str, key: str, path) -> int:
 
 
 def write_windows(path, windows: np.ndarray) -> None:
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    w = as_rows(windows, "window set")
     _write_matrix_file(path, f"{WINDOWS_MAGIC} T={w.shape[1]}", w)
 
 
@@ -204,9 +204,7 @@ def read_windows(path) -> np.ndarray:
 
 
 def write_graphs(path, flat_graphs: np.ndarray, n_states: int) -> None:
-    g = np.atleast_2d(np.asarray(flat_graphs, dtype=np.float64))
-    if g.shape[1] != n_states * n_states:
-        raise ValueError("flattened graph width does not match n_states")
+    g = as_rows(flat_graphs, "graph set", n_states * n_states)
     _write_matrix_file(path, f"{GRAPHS_MAGIC} Q={n_states}", g)
 
 
@@ -252,7 +250,7 @@ def write_curve(path, name: str, values: np.ndarray) -> None:
 
 def write_embeddings(path, embeddings: np.ndarray) -> None:
     """Raw embedding rows for external projection tools (t-SNE and friends)."""
-    e = np.atleast_2d(np.asarray(embeddings, dtype=np.float64))
+    e = as_rows(embeddings, "embedding set")
     _write_matrix_file(path, f"{EMBED_MAGIC} D={e.shape[1]}", e)
 
 

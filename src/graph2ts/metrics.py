@@ -9,12 +9,13 @@ nearest-neighbor search.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _accel
-from .dataset import check_finite
+from .dataset import as_rows
 
 __all__ = [
     "TailStats",
@@ -102,12 +103,18 @@ class MetricsReport:
 
 
 def _as_windows(x, name: str) -> np.ndarray:
-    w = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    if w.ndim > 2:
-        raise ValueError(f"{name} set must be 1-D or 2-D, got shape {w.shape}")
+    w = as_rows(x, f"{name} set")
     if w.size == 0:
         raise ValueError(f"{name} set is empty")
-    return check_finite(w, f"{name} set")
+    return w
+
+
+def _check_items(items, what: str) -> None:
+    """A ValueError naming ``what`` and the first (key, value) of ``items``
+    whose value is not finite."""
+    for key, value in items:
+        if not math.isfinite(value):
+            raise ValueError(f"the {key} of the {what} is not finite ({value})")
 
 
 def _as_pair(real, synth) -> tuple[np.ndarray, np.ndarray]:
@@ -299,16 +306,17 @@ def _tail_stats_1d(values: np.ndarray, what: str) -> TailStats:
     v = values.ravel()
     mean = float(v.mean())
     d2 = (v - mean) ** 2
-    m2 = float(d2.mean())
+    m2 = d2.mean()
     if m2 == 0.0:
         raise ValueError(f"zero variance in the {what}; kurtosis undefined")
     # squared squares: plain IEEE products, not numpy's target-dependent pow
-    m4 = float((d2 * d2).mean())
+    m4 = (d2 * d2).mean()
     lo, hi = np.quantile(v, TAIL_QUANTILES)
+    # numpy scalars: an m2 * m2 that underflows to 0 gives inf or NaN, not ZeroDivisionError
     return TailStats(
         mean=mean,
         std=float(np.sqrt(m2)),
-        excess_kurtosis=m4 / (m2 * m2) - 3.0,
+        excess_kurtosis=float(m4 / (m2 * m2) - 3.0),
         quantile_range=(float(lo), float(hi)),
     )
 
@@ -316,13 +324,17 @@ def _tail_stats_1d(values: np.ndarray, what: str) -> TailStats:
 def tail_stats(windows, name: str = "windows") -> tuple[TailStats, TailStats]:
     """Pooled tail statistics for raw values and within-window first differences.
 
-    ``name`` labels the set in errors.
+    ``name`` labels the set in errors. Values whose powers overflow give a
+    ValueError naming the first non-finite statistic, not an inf or a NaN.
     """
     w = _as_windows(windows, name)
     if w.shape[1] < 2:
         raise ValueError("windows too short for first differences")
-    return (_tail_stats_1d(w, f"values of the {name} set"),
-            _tail_stats_1d(np.diff(w, axis=1), f"first differences of the {name} set"))
+    with np.errstate(all="ignore"):  # a non-finite statistic is raised below
+        stats = (_tail_stats_1d(w, f"values of the {name} set"),
+                 _tail_stats_1d(np.diff(w, axis=1), f"first differences of the {name} set"))
+    _check_items(stats[0].as_items("x") + stats[1].as_items("dx"), f"{name} set")
+    return stats
 
 
 def variance_decomposition_check(
@@ -340,15 +352,12 @@ def variance_decomposition_check(
     if v.size == 0 or v.size != lab.size:
         raise ValueError("x and labels must be non-empty and equally long")
     lhs = float(v.var())
-    mean = v.mean()
-    between = 0.0
-    within = 0.0
-    for g in np.unique(lab):
-        grp = v[lab == g]
-        wgt = grp.size / v.size
-        between += wgt * float((grp.mean() - mean) ** 2)
-        within += wgt * float(grp.var())
-    rhs = between + within
+    group = np.unique(lab, return_inverse=True)[1]
+    size = np.bincount(group)
+    group_mean = np.bincount(group, weights=v) / size
+    between = (size * (group_mean - v.mean()) ** 2).sum() / v.size
+    within = np.bincount(group, weights=(v - group_mean[group]) ** 2).sum() / v.size
+    rhs = float(between + within)
     if lhs == 0.0:
         return lhs, rhs, 0.0 if rhs == 0.0 else float("inf")
     return lhs, rhs, abs(lhs - rhs) / lhs
@@ -362,7 +371,9 @@ def evaluate(real, synth, seed: int = 0) -> MetricsReport:
     """Score a (real, synthetic) pair, subsampling the larger set to equal counts.
 
     Each item equals the public metric on the subsampled sets; the distance
-    passes and each set's sorted values are computed once and shared.
+    passes and each set's sorted values are computed once and shared. Values
+    whose powers overflow give a ValueError naming the set and the first
+    non-finite statistic or score, not an inf or a NaN.
     """
     r, s = _as_pair(real, synth)
     # checked before subsampling, which cuts the larger set to the smaller count
@@ -374,26 +385,30 @@ def evaluate(real, synth, seed: int = 0) -> MetricsReport:
         r = r[np.sort(rng.choice(r.shape[0], s.shape[0], replace=False))]
     elif s.shape[0] > r.shape[0]:
         s = s[np.sort(rng.choice(s.shape[0], r.shape[0], replace=False))]
-    # one pass per distance quantity, shared by proto_err and every coverage quantile
-    d_rs = _accel.min_dist_to_set(r, s)
-    nn_r = _accel.nn_dist_excl_self(r)
-    avg, med = _proto_err(d_rs)
+    # first, so that a set whose powers overflow is named before any distance pass
     tails_r = tail_stats(r, "real")
     tails_s = tail_stats(s, "synth")
-    # one sort per set, shared by W1 and KS
-    r_sorted = np.sort(r.ravel())
-    s_sorted = np.sort(s.ravel())
-    return MetricsReport(
-        wasserstein=_w1_sorted(r_sorted, s_sorted),
-        ks=_ks_sorted(r_sorted, s_sorted),
-        acf_mae=acf_mae(r, s),
-        psd_l2=psd_l2(r, s),
-        proto_err_avg=avg,
-        proto_err_med=med,
-        mdr=mdr(r, s),
-        coverage={q: _coverage(d_rs, nn_r, q) for q in COVERAGE_QUANTILES},
-        tails_real_x=tails_r[0],
-        tails_real_dx=tails_r[1],
-        tails_synth_x=tails_s[0],
-        tails_synth_dx=tails_s[1],
-    )
+    with np.errstate(all="ignore"):  # a non-finite score is raised below
+        # one pass per distance quantity, shared by proto_err and every coverage quantile
+        d_rs = _accel.min_dist_to_set(r, s)
+        nn_r = _accel.nn_dist_excl_self(r)
+        avg, med = _proto_err(d_rs)
+        # one sort per set, shared by W1 and KS
+        r_sorted = np.sort(r.ravel())
+        s_sorted = np.sort(s.ravel())
+        report = MetricsReport(
+            wasserstein=_w1_sorted(r_sorted, s_sorted),
+            ks=_ks_sorted(r_sorted, s_sorted),
+            acf_mae=acf_mae(r, s),
+            psd_l2=psd_l2(r, s),
+            proto_err_avg=avg,
+            proto_err_med=med,
+            mdr=mdr(r, s),
+            coverage={q: _coverage(d_rs, nn_r, q) for q in COVERAGE_QUANTILES},
+            tails_real_x=tails_r[0],
+            tails_real_dx=tails_r[1],
+            tails_synth_x=tails_s[0],
+            tails_synth_dx=tails_s[1],
+        )
+    _check_items(report.score_items(), "real and synth sets")
+    return report

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape, Var
-from .dataset import DatasetSplit, all_finite, check_finite
+from .dataset import DatasetSplit, all_finite, as_rows
 from .optim import ParamStore, adam_step
 from .quantile_graph import (
     MIN_STATES,
@@ -354,14 +354,6 @@ def objective_value(
     )
 
 
-def _rows(arr: np.ndarray, width: int, what: str) -> np.ndarray:
-    """``arr`` as finite float64 rows of ``width`` values; errors name ``what``."""
-    x = np.atleast_2d(np.ascontiguousarray(arr, dtype=np.float64))
-    if x.ndim != 2 or x.shape[1] != width:
-        raise ValueError(f"{what} has shape {x.shape}; the model takes rows of width {width}")
-    return check_finite(x, what)
-
-
 # ---------------------------------------------------------------------------
 # trained model container
 # ---------------------------------------------------------------------------
@@ -378,7 +370,7 @@ class Graph2TS:
     def ts_embeddings(self, windows: np.ndarray) -> np.ndarray:
         """Raw window embeddings, encoded over the blocks that ``_spans`` gives,
         with the bytes of one whole-set pass."""
-        x = _rows(windows, self.config.window_length, "window set")
+        x = as_rows(windows, "window set", self.config.window_length)
         result = np.empty((x.shape[0], self.config.embed_dim))
         for lo, hi in _spans(x.shape[0]):
             result[lo:hi] = _block(self.params, "ts_enc", x[lo:hi])
@@ -401,7 +393,7 @@ class Graph2TS:
         """
         if n_per_graph < 1:
             raise ValueError("n_per_graph must be positive")
-        g = _rows(graphs, self.config.graph_dim, "graph set")
+        g = as_rows(graphs, "graph set", self.config.graph_dim)
         p = self.params
         rng = np.random.default_rng(seed)
         n_graphs = g.shape[0]
@@ -452,12 +444,9 @@ def train(config: TrainConfig, data: DatasetSplit) -> tuple[Graph2TS, list[LossB
     epoch snapshot from the epoch with the lowest logged mean total; a
     snapshot holding NaN/Inf raises RuntimeError.
     """
-    x_train = np.asarray(data.train, dtype=np.float64)
+    x_train = as_rows(data.train, "training split", config.window_length)
     if x_train.size == 0:
         raise ValueError("empty training split")
-    if x_train.shape[1] != config.window_length:
-        raise ValueError(f"windows have length {x_train.shape[1]}, config "
-                         f"window_length is {config.window_length}")
 
     bounds = fit_boundaries(x_train.ravel(), config.n_states)
     graphs = conditioning_graphs(config, windows_to_graphs(x_train, bounds))

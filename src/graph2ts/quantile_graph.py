@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .dataset import check_finite
+from .dataset import as_rows, check_finite
 
 __all__ = [
     "MIN_STATES",
@@ -97,7 +97,7 @@ def windows_to_graphs(windows: np.ndarray, bounds: QuantileBoundaries) -> np.nda
     state never seen as a source keeps all-zero entries, not uniform ones, so
     "no evidence" stays distinguishable in the conditioning vector.
     """
-    w = np.atleast_2d(np.asarray(windows, dtype=np.float64))
+    w = as_rows(windows, "window set")
     if w.shape[1] < 2:
         raise ValueError(f"windows of length T={w.shape[1]} hold no transition; need T >= 2")
     q = bounds.n_states

@@ -453,6 +453,21 @@ class TestRejectedInputs:
         assert captured.err == "error: non-finite value in block 'ts_enc'\n"
         assert not out.exists() and not emb.exists()
 
+    def test_eval_and_stats_of_overflowing_windows(self, tmp_path, capsys):
+        # finite values whose squares overflow: no warning, no report, one error line
+        real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
+        fileio.write_windows(real, synth_generate("sine_mix", 40, 8, 1) * 1e200)
+        fileio.write_windows(synth, synth_generate("sine_mix", 40, 8, 2) * 1e200)
+        out = tmp_path / "out.txt"
+        assert run("eval", "--real", real, "--synth", synth, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: cannot score {synth} (synth) against {real} "
+                                           f"(real): the x_std of the real set is not finite "
+                                           f"(inf)\n")
+        assert run("stats", "--windows", real, "--out", out) == 2
+        assert capsys.readouterr().err == (f"error: {real}: the x_std of the windows set is not "
+                                           f"finite (inf)\n")
+        assert not out.exists()
+
     def test_eval_window_length_mismatch(self, tmp_path, capsys):
         real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
         fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))

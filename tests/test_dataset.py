@@ -3,6 +3,7 @@ import pytest
 
 from graph2ts.dataset import (
     NormStats,
+    as_rows,
     load_series,
     make_windows,
     split,
@@ -101,6 +102,51 @@ class TestZScore:
             out, _ = zscore_fit_apply(w)
             assert abs(out.mean()) <= 1e-9
             assert abs(out.std() - 1.0) <= 1e-9
+
+
+class TestAsRows:
+    def test_float64_rows_are_not_copied(self, rng):
+        w = rng.standard_normal((5, 3))
+        assert as_rows(w, "set") is w
+
+    @pytest.mark.parametrize("given", [
+        np.arange(6).reshape(2, 3),  # int64
+        np.ones((3, 2)).T,  # Fortran order
+        [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]],
+    ], ids=["int", "fortran", "list"])
+    def test_converted_to_contiguous_float64(self, given):
+        rows = as_rows(given, "set")
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert np.array_equal(rows, np.asarray(given, dtype=np.float64))
+
+    def test_empty_set_passes(self):
+        assert as_rows(np.empty((0, 7)), "set", 7).shape == (0, 7)
+
+
+class TestOverflow:
+    """A pooled std that overflows is an error naming the set, with no warning."""
+
+    def test_split_of_huge_windows(self):
+        w = synth_generate("sine_mix", 40, 8, seed=1) * 1e200
+        with pytest.raises(ValueError, match=r"^the pooled std of the window set overflows "
+                                             r"\(inf\); cannot z-score$"):
+            split(w, 0.2, seed=0)
+
+    def test_normstats_rejects_infinite_std(self):
+        with pytest.raises(ValueError, match="^std must be positive and finite$"):
+            NormStats(mean=0.0, std=np.inf)
+
+    def test_eval_value_overflowing_train_scale(self):
+        # train values within [0, 1]; the eval value 1e308 divided by their std overflows
+        w = np.tile(np.linspace(0.0, 1.0, 4), (4, 1))
+        w[np.random.default_rng(0).permutation(4)[3], 0] = 1e308  # split's one eval row
+        with pytest.raises(ValueError, match=r"^normalized eval split holds a non-finite "
+                                             r"value \(inf\) at row 0, column 0$"):
+            split(w, 0.25, seed=0)
+
+    def test_empty_set(self):
+        with pytest.raises(ValueError, match="^empty window set; cannot z-score$"):
+            zscore_fit_apply(np.empty((0, 4)))
 
 
 class TestSplit:

@@ -4,6 +4,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.signal import periodogram
 
 from graph2ts import metrics
+from graph2ts.dataset import synth_generate
 from graph2ts.metrics import (
     MetricsReport,
     acf_mae,
@@ -406,6 +407,20 @@ class TestVarianceDecomposition:
     def test_constant_input(self):
         assert variance_decomposition_check(np.full(6, 2.5), np.arange(6) % 2) == (0.0, 0.0, 0.0)
 
+    def test_equals_per_group_loop_on_unequal_groups(self, rng):
+        # the reference: one pass over each label's members
+        for sizes in ([1, 2, 97], [5, 300, 40, 1], [7]):
+            labels = rng.permutation(np.repeat(np.arange(len(sizes)) * 3 - 2, sizes))
+            x = rng.standard_normal(labels.size) * 2.5 + labels
+            between = within = 0.0
+            for g in np.unique(labels):
+                grp = x[labels == g]
+                between += grp.size / x.size * (grp.mean() - x.mean()) ** 2
+                within += grp.size / x.size * grp.var()
+            lhs, rhs, _ = variance_decomposition_check(x, labels)
+            assert lhs == x.var()
+            assert rhs == pytest.approx(between + within, rel=1e-12, abs=0.0)
+
     def test_monte_carlo_three_group_gaussian(self):
         rng = np.random.default_rng(7)
         n = 100_000
@@ -509,6 +524,43 @@ PAIR_METRICS = {
     "coverage": lambda r, s: coverage(r, s, 0.5),
     "evaluate": evaluate,
 }
+
+
+class TestOverflow:
+    """Values whose powers overflow give a ValueError that names the set and
+    the first non-finite statistic, with no warning, never an inf or a NaN."""
+
+    def test_evaluate_huge_windows(self):
+        real = synth_generate("sine_mix", 40, 8, seed=1) * 1e200
+        synth = synth_generate("sine_mix", 40, 8, seed=2) * 1e200
+        with pytest.raises(ValueError, match=r"^the x_std of the real set is not finite \(inf\)$"):
+            evaluate(real, synth)
+        with pytest.raises(ValueError, match=r"^the x_std of the synth set is not finite "):
+            evaluate(synth_generate("sine_mix", 40, 8, seed=1), synth)
+
+    def test_tail_stats_huge_windows(self):
+        with pytest.raises(ValueError, match=r"^the x_std of the windows set is not finite "
+                                             r"\(inf\)$"):
+            tail_stats(synth_generate("sine_mix", 40, 8, seed=1) * 1e200)
+
+    def test_tail_stats_underflowing_variance(self):
+        # m2 is ~1e-200, so m2 * m2 underflows to zero
+        with pytest.raises(ValueError, match=r"^the x_excess_kurtosis of the tiny set is not "
+                                             r"finite \(nan\)$"):
+            tail_stats(synth_generate("sine_mix", 40, 8, seed=1) * 1e-100, "tiny")
+
+    def test_non_finite_score_named(self, monkeypatch):
+        w = synth_generate("sine_mix", 40, 8, seed=1)
+        monkeypatch.setattr(metrics._accel, "min_dist_to_set", lambda a, b: np.full(len(a), np.inf))
+        with pytest.raises(ValueError, match=r"^the proto_err_avg of the real and synth sets "
+                                             r"is not finite \(inf\)$"):
+            evaluate(w, w[::-1])
+
+    def test_large_finite_windows_score(self):
+        # powers up to the fourth stay finite at 1e70
+        w = synth_generate("sine_mix", 40, 8, seed=1)
+        items = evaluate(w * 1e70, w[::-1] * 1e70).as_items()
+        assert all(np.isfinite(v) for _, v in items)
 
 
 class TestInputValidation:

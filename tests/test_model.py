@@ -400,7 +400,8 @@ class TestTraining:
 
     def test_window_length_mismatch(self, tiny_data):
         cfg = dataclasses.replace(SMALL, window_length=16)
-        with pytest.raises(ValueError, match="length 32, config window_length is 16"):
+        with pytest.raises(ValueError, match=r"^training split has shape \(\d+, 32\); "
+                                             r"expected rows of width 16$"):
             train(cfg, tiny_data)
 
     def test_nonfinite_snapshot_not_returned(self, tiny_data):
@@ -727,13 +728,13 @@ _EMPTY = np.empty((0, 32))
     pytest.param(lambda model, data: model.generate(np.eye(10).reshape(1, -1), n_per_graph=0),
                  ValueError, r"^n_per_graph must be positive$", id="generate_zero_per_graph"),
     pytest.param(lambda model, data: model.ts_embeddings(data.eval[:3, :20]), ValueError,
-                 r"^window set has shape \(3, 20\); the model takes rows of width 32$",
+                 r"^window set has shape \(3, 20\); expected rows of width 32$",
                  id="ts_embeddings_window_width"),
     pytest.param(lambda model, data: model.generate(np.ones((2, 9))), ValueError,
-                 r"^graph set has shape \(2, 9\); the model takes rows of width 100$",
+                 r"^graph set has shape \(2, 9\); expected rows of width 100$",
                  id="generate_graph_width"),
     pytest.param(lambda model, data: model.ts_embeddings(np.zeros((2, 4, 32))), ValueError,
-                 r"^window set has shape \(2, 4, 32\); the model takes rows of width 32$",
+                 r"^window set must be 1-D or 2-D, got shape \(2, 4, 32\)$",
                  id="ts_embeddings_3d"),
     pytest.param(lambda model, data: beta_schedule(-1, 50, 0.05), ValueError,
                  r"^epoch must be non-negative$", id="beta_negative_epoch"),
