@@ -110,6 +110,7 @@ import numpy as np
 from .dataset import check_finite
 
 __all__ = [
+    "squares_fit",
     "min_dist_to_set",
     "nn_dist_excl_self",
     "medoid_index",
@@ -122,6 +123,14 @@ _CHUNK_BUDGET = 2_000_000
 
 _U = 2.0 ** -53
 _TINY = np.finfo(np.float64).tiny
+
+
+def squares_fit(x: np.ndarray) -> bool:
+    """Whether the reference's squares and sums stay in float64's range for
+    rows of ``x`` and of any set of its width with no larger values (module
+    docstring, the premises)."""
+    e = int(np.frexp(np.abs(x).max())[1])
+    return 2 * e + x.shape[1].bit_length() <= 1021
 
 
 def _gram_chunks(
@@ -146,8 +155,7 @@ def _gram_chunks(
     m = b.shape[0]
     info = np.finfo(dtype)
     kappa = (2 * t + 4) * info.eps / 2 + (t + 5) * _U
-    e = int(np.frexp(max(np.abs(a).max(), np.abs(b).max()))[1])
-    if kappa > 0.125 or 2 * e + t.bit_length() > 1021:
+    if kappa > 0.125 or not (squares_fit(a) and squares_fit(b)):
         # past the bound's premises: every pair is a candidate
         left, right = np.zeros((n, 1), dtype), np.zeros((1, m), dtype)
         err = np.full(n, np.inf)

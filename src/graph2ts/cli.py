@@ -210,6 +210,8 @@ def cmd_eval(args) -> int:
                              f"window_length={model.config.window_length}")
     try:
         report = metrics.evaluate(real, synth, seed=config.seed)
+        # the curves are of the whole sets, not evaluate's subsamples
+        curves = metrics.mean_curves(real, synth) if args.curves_dir else {}
     except ValueError as err:
         raise ValueError(f"cannot score {args.synth} (synth) against {args.real} (real): "
                          f"{err}") from None
@@ -223,14 +225,8 @@ def cmd_eval(args) -> int:
     fileio.write_metrics_report(args.out, report)
     for key, value in report.as_items():
         print(f"{key}={value:.6g}")
-    if args.curves_dir:
-        cdir = Path(args.curves_dir)
-        lag = real.shape[1] // 2
-        for kind, curve in (("acf", lambda w: metrics.acf_mean_curve(w, lag)),
-                            ("psd", metrics.psd_mean_curve)):
-            for side, w in (("real", real), ("synth", synth)):
-                name = f"{kind}_{side}"
-                fileio.write_curve(cdir / f"{name}.csv", name, curve(w))
+    for name, curve in curves.items():
+        fileio.write_curve(Path(args.curves_dir) / f"{name}.csv", name, curve)
     if args.embeddings_dir:
         for side, emb in zip(("real", "synth"), embeddings):
             fileio.write_embeddings(Path(args.embeddings_dir) / f"{side}_embeddings.txt", emb)

@@ -244,7 +244,7 @@ def write_tail_stats(path, x_stats: TailStats, dx_stats: TailStats) -> None:
 
 def write_curve(path, name: str, values: np.ndarray) -> None:
     """One plot-ready value per row (lag or frequency-bin index implied)."""
-    v = np.asarray(values, dtype=np.float64).reshape(-1, 1)
+    v = as_rows(values, f"{name} curve").reshape(-1, 1)
     _write_matrix_file(path, f"{CURVE_MAGIC} name={name} N={v.shape[0]}", v)
 
 

@@ -4,12 +4,17 @@ All metrics operate in the normalized (z-score) space the model trains in.
 Distribution metrics pool the scalar values of each set and read them
 sorted; representativeness metrics work in window space with exact
 nearest-neighbor search.
+
+Every pair metric, ``mean_curves`` and ``evaluate`` is one call of one
+scoring core, ``_pair_scores``. It checks the two sets once, rejects a set
+whose squared distances could overflow before any distance pass, runs only
+the shared work its keys need, and raises a ValueError naming the first value
+that is not finite: no score comes back as inf or NaN, and none warns.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +31,7 @@ __all__ = [
     "acf_mae",
     "psd_mean_curve",
     "psd_l2",
+    "mean_curves",
     "proto_err",
     "mdr",
     "coverage",
@@ -38,6 +44,8 @@ logger = logging.getLogger(__name__)
 
 TAIL_QUANTILES = (0.001, 0.999)
 COVERAGE_QUANTILES = (0.5, 0.9)  # evaluate's coverage levels
+# the score keys of _pair_scores; "proto_err" gives two items and "coverage" one per level
+SCORES = frozenset({"wasserstein", "ks", "acf_mae", "psd_l2", "proto_err", "mdr", "coverage"})
 
 
 @dataclass(frozen=True)
@@ -110,24 +118,27 @@ def _as_windows(x, name: str) -> np.ndarray:
 
 
 def _check_items(items, what: str) -> None:
-    """A ValueError naming ``what`` and the first (key, value) of ``items``
-    whose value is not finite."""
+    """A ValueError naming ``what`` and the first (key, value) of ``items``,
+    a value being a float or an array, that is not finite."""
     for key, value in items:
-        if not math.isfinite(value):
-            raise ValueError(f"the {key} of the {what} is not finite ({value})")
+        v = np.ravel(value)
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ValueError(f"the {key} of the {what} is not finite ({v[bad[0]]})")
 
 
-def _as_pair(real, synth) -> tuple[np.ndarray, np.ndarray]:
-    """The real and the synthetic set as windows of one length."""
+def _as_pair(real, synth, pooled: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The real and the synthetic set as windows, of one length unless only
+    their ``pooled`` values are read."""
     r = _as_windows(real, "real")
     s = _as_windows(synth, "synth")
-    if r.shape[1] != s.shape[1]:
+    if not pooled and r.shape[1] != s.shape[1]:
         raise ValueError("window lengths differ between sets")
     return r, s
 
 
 # ---------------------------------------------------------------------------
-# distribution fidelity
+# building blocks: sorted values and mean curves
 # ---------------------------------------------------------------------------
 
 def _merged_counts(a: np.ndarray, b: np.ndarray):
@@ -165,38 +176,15 @@ def _ks_sorted(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(in_a[run_end] / a.size - in_b[run_end] / b.size).max())
 
 
-def _sorted_values(x, name: str) -> np.ndarray:
-    return np.sort(_as_windows(x, name).ravel())
-
-
-def wasserstein1_pooled(real, synth) -> float:
-    """1-D W1 between the pooled value distributions of the two sets.
-
-    Equal sample counts reduce to the mean absolute difference of sorted
-    values; the general case integrates |F_real - F_synth| over the merged
-    support. Both are exact for empirical distributions.
-    """
-    return _w1_sorted(_sorted_values(real, "real"), _sorted_values(synth, "synth"))
-
-
-def ks_pooled(real, synth) -> float:
-    """Two-sample Kolmogorov-Smirnov statistic on pooled values."""
-    return _ks_sorted(_sorted_values(real, "real"), _sorted_values(synth, "synth"))
-
-
-# ---------------------------------------------------------------------------
-# temporal structure
-# ---------------------------------------------------------------------------
-
-def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
+def acf_mean_curve(windows, max_lag: int, name: str = "windows") -> np.ndarray:
     """Mean autocorrelation curve over windows, lags 1..max_lag.
 
     Per window the biased normalized estimator is used:
     ACF(l) = sum_t (x_t - xbar)(x_{t+l} - xbar) / sum_t (x_t - xbar)^2.
     Zero-variance windows carry no autocorrelation signal and are skipped
-    with a warning.
+    with a warning. ``name`` labels the set in errors.
     """
-    w = _as_windows(windows, "windows")
+    w = _as_windows(windows, name)
     t_len = w.shape[1]
     if not 1 <= max_lag < t_len:
         raise ValueError(f"max_lag must be in [1, {t_len - 1}]")
@@ -204,11 +192,11 @@ def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
     den = (xc * xc).sum(axis=1)
     keep = den > 0
     if not keep.any():
-        raise ValueError("all windows have zero variance")
+        raise ValueError(f"the {name} set holds only zero-variance windows")
     if not keep.all():
-        logger.warning("acf: skipping %d zero-variance window(s)", int((~keep).sum()))
-    xc = xc[keep]
-    den = den[keep]
+        logger.warning("acf: skipping %d zero-variance window(s) of the %s set",
+                       int((~keep).sum()), name)
+    xc, den = xc[keep], den[keep]
     curve = np.empty(max_lag)
     for lag in range(1, max_lag + 1):
         num = (xc[:, :-lag] * xc[:, lag:]).sum(axis=1)
@@ -216,86 +204,24 @@ def acf_mean_curve(windows, max_lag: int) -> np.ndarray:
     return curve
 
 
-def acf_mae(real, synth) -> float:
-    """MAE between the mean ACF curves of the two sets, up to lag T // 2.
-    Both sets must have the same window length T."""
-    r, s = _as_pair(real, synth)
-    lag = r.shape[1] // 2
-    return float(np.abs(acf_mean_curve(r, lag) - acf_mean_curve(s, lag)).mean())
-
-
-def _hann_periodic(n: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
-
-
-def psd_mean_curve(windows) -> np.ndarray:
+def psd_mean_curve(windows, name: str = "windows") -> np.ndarray:
     """Mean one-sided power spectrum over windows (floor(T/2)+1 bins).
 
     Single-segment Hann-windowed periodogram normalized by the window power
     (sum of squared taper values); interior bins doubled for the one-sided
     convention. T=32 leaves no room for useful segment overlap, so one
-    segment per window is used.
+    segment per window is used. The periodic taper of one value is 0, so
+    T must be at least 2. ``name`` labels the set in errors.
     """
-    w = _as_windows(windows, "windows")
+    w = _as_windows(windows, name)
     t_len = w.shape[1]
-    taper = _hann_periodic(t_len)
+    if t_len < 2:
+        raise ValueError(f"the {name} set holds windows of length T={t_len}; "
+                         "a tapered spectrum needs T >= 2")
+    taper = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(t_len) / t_len)  # periodic Hann
     spec = np.abs(np.fft.rfft(w * taper, axis=1)) ** 2 / (taper * taper).sum()
-    if t_len % 2 == 0:
-        spec[:, 1:-1] *= 2.0
-    else:
-        spec[:, 1:] *= 2.0
+    spec[:, 1:(t_len + 1) // 2] *= 2.0  # every bin but 0 and, for even T, Nyquist
     return spec.mean(axis=0)
-
-
-def psd_l2(real, synth) -> float:
-    """Euclidean distance between the mean power spectra of the two sets."""
-    r, s = _as_pair(real, synth)
-    a = psd_mean_curve(r)
-    b = psd_mean_curve(s)
-    return float(np.sqrt(((a - b) ** 2).sum()))
-
-
-# ---------------------------------------------------------------------------
-# representativeness and coverage
-# ---------------------------------------------------------------------------
-
-def _proto_err(d_rs: np.ndarray) -> tuple[float, float]:
-    return float(d_rs.mean()), float(np.median(d_rs))
-
-
-def _coverage(d_rs: np.ndarray, nn_r: np.ndarray, q: float) -> float:
-    tau = float(np.quantile(nn_r, q))
-    return float((d_rs <= tau).mean())
-
-
-def proto_err(real, synth) -> tuple[float, float]:
-    """Mean and median distance from each real window to its nearest synthetic one."""
-    r, s = _as_pair(real, synth)
-    return _proto_err(_accel.min_dist_to_set(r, s))
-
-
-def mdr(real, synth) -> float:
-    """Medoid distance ratio: medoid gap over mean real distance to the real medoid."""
-    r, s = _as_pair(real, synth)
-    if r.shape[0] < 2:
-        raise ValueError(f"mdr needs at least 2 real windows, got {r.shape[0]}")
-    m_r = r[_accel.medoid_index(r)]
-    m_s = s[_accel.medoid_index(s)]
-    denom = float(np.sqrt(((r - m_r) ** 2).sum(axis=1)).mean())
-    if denom == 0.0:
-        raise ValueError(f"all {r.shape[0]} real windows identical; mdr undefined")
-    return float(np.sqrt(((m_r - m_s) ** 2).sum())) / denom
-
-
-def coverage(real, synth, q: float) -> float:
-    """Fraction of real windows with a synthetic neighbor within the q-quantile
-    of the real-to-real nearest-neighbor distances (self excluded)."""
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be in [0, 1]")
-    r, s = _as_pair(real, synth)
-    if r.shape[0] < 2:
-        raise ValueError(f"coverage needs at least 2 real windows, got {r.shape[0]}")
-    return _coverage(_accel.min_dist_to_set(r, s), _accel.nn_dist_excl_self(r), q)
 
 
 # ---------------------------------------------------------------------------
@@ -364,51 +290,124 @@ def variance_decomposition_check(
 
 
 # ---------------------------------------------------------------------------
-# full report
+# the scoring core and the public pair metrics
 # ---------------------------------------------------------------------------
 
-def evaluate(real, synth, seed: int = 0) -> MetricsReport:
-    """Score a (real, synthetic) pair, subsampling the larger set to equal counts.
+def _pair_scores(real, synth, keys, qs=(), seed=None) -> dict:
+    """The ``keys`` (of ``SCORES``, or "curves" for ``mean_curves``) of a
+    (real, synth) pair, named as ``MetricsReport``'s fields; "coverage" maps
+    each level of ``qs`` to its value. With a ``seed``, evaluate's rules:
+    the larger set is subsampled to the smaller count, and the tail
+    statistics come first. No floating-point warning escapes."""
+    if "coverage" in keys and not all(0.0 <= q <= 1.0 for q in qs):
+        raise ValueError("q must be in [0, 1]")
+    r, s = _as_pair(real, synth, keys <= {"wasserstein", "ks"})
+    tails = {}
+    if seed is not None:
+        n = min(len(r), len(s))  # checked before the larger set is cut to n windows
+        if n < 2:
+            raise ValueError(f"need at least 2 windows in each set, got {len(r)} real "
+                             f"and {len(s)} synth")
+        rng = np.random.default_rng(seed)
+        r, s = (w if len(w) == n else w[np.sort(rng.choice(len(w), n, replace=False))]
+                for w in (r, s))
+        # first, so that a set whose powers overflow is named by its statistics
+        tails["tails_real_x"], tails["tails_real_dx"] = tail_stats(r, "real")
+        tails["tails_synth_x"], tails["tails_synth_dx"] = tail_stats(s, "synth")
+    sets = ((r, "real"), (s, "synth"))
+    for key in ("mdr", "coverage"):
+        if key in keys and r.shape[0] < 2:
+            raise ValueError(f"{key} needs at least 2 real windows, got {r.shape[0]}")
+    if keys & {"proto_err", "mdr", "coverage"}:
+        for w, name in sets:  # before any distance pass
+            if not _accel.squares_fit(w):
+                raise ValueError(f"the squared distances of the {name} set may overflow "
+                                 f"(|value| up to {np.abs(w).max():.6g})")
+    out = {}
+    with np.errstate(all="ignore"):  # a value that is not finite is raised below
+        if keys & {"wasserstein", "ks"}:  # one sort per set
+            a, b = np.sort(r.ravel()), np.sort(s.ravel())
+            for key, score in (("wasserstein", _w1_sorted), ("ks", _ks_sorted)):
+                if key in keys:
+                    out[key] = score(a, b)
+        if keys & {"acf_mae", "curves"}:
+            acf = [acf_mean_curve(w, w.shape[1] // 2, name) for w, name in sets]
+        if keys & {"psd_l2", "curves"}:
+            psd = [psd_mean_curve(w, name) for w, name in sets]
+        if "acf_mae" in keys:
+            out["acf_mae"] = float(np.abs(acf[0] - acf[1]).mean())
+        if "psd_l2" in keys:
+            out["psd_l2"] = float(np.sqrt(((psd[0] - psd[1]) ** 2).sum()))
+        if keys & {"proto_err", "coverage"}:  # one pass, shared by every coverage level
+            d_rs = _accel.min_dist_to_set(r, s)
+        if "proto_err" in keys:
+            out["proto_err_avg"], out["proto_err_med"] = float(d_rs.mean()), float(np.median(d_rs))
+        if "mdr" in keys:
+            m_r, m_s = r[_accel.medoid_index(r)], s[_accel.medoid_index(s)]
+            denom = float(np.sqrt(((r - m_r) ** 2).sum(axis=1)).mean())
+            if denom == 0.0:
+                raise ValueError(f"all {r.shape[0]} real windows identical; mdr undefined")
+            out["mdr"] = float(np.sqrt(((m_r - m_s) ** 2).sum())) / denom
+        if "coverage" in keys:
+            nn_r = _accel.nn_dist_excl_self(r)
+        if "curves" in keys:
+            out.update(acf_real=acf[0], acf_synth=acf[1], psd_real=psd[0], psd_synth=psd[1])
+    _check_items(out.items(), "real and synth sets")
+    if "coverage" in keys:  # a share of the real set, from distances that cannot overflow
+        out["coverage"] = {q: float((d_rs <= float(np.quantile(nn_r, q))).mean()) for q in qs}
+    return {**out, **tails}
 
-    Each item equals the public metric on the subsampled sets; the distance
-    passes and each set's sorted values are computed once and shared. Values
-    whose powers overflow give a ValueError naming the set and the first
-    non-finite statistic or score, not an inf or a NaN.
+
+def wasserstein1_pooled(real, synth) -> float:
+    """1-D W1 between the pooled value distributions of the two sets.
+
+    Equal sample counts reduce to the mean absolute difference of sorted
+    values; the general case integrates |F_real - F_synth| over the merged
+    support. Both are exact for empirical distributions.
     """
-    r, s = _as_pair(real, synth)
-    # checked before subsampling, which cuts the larger set to the smaller count
-    if min(r.shape[0], s.shape[0]) < 2:
-        raise ValueError(f"need at least 2 windows in each set, got {r.shape[0]} real "
-                         f"and {s.shape[0]} synth")
-    rng = np.random.default_rng(seed)
-    if r.shape[0] > s.shape[0]:
-        r = r[np.sort(rng.choice(r.shape[0], s.shape[0], replace=False))]
-    elif s.shape[0] > r.shape[0]:
-        s = s[np.sort(rng.choice(s.shape[0], r.shape[0], replace=False))]
-    # first, so that a set whose powers overflow is named before any distance pass
-    tails_r = tail_stats(r, "real")
-    tails_s = tail_stats(s, "synth")
-    with np.errstate(all="ignore"):  # a non-finite score is raised below
-        # one pass per distance quantity, shared by proto_err and every coverage quantile
-        d_rs = _accel.min_dist_to_set(r, s)
-        nn_r = _accel.nn_dist_excl_self(r)
-        avg, med = _proto_err(d_rs)
-        # one sort per set, shared by W1 and KS
-        r_sorted = np.sort(r.ravel())
-        s_sorted = np.sort(s.ravel())
-        report = MetricsReport(
-            wasserstein=_w1_sorted(r_sorted, s_sorted),
-            ks=_ks_sorted(r_sorted, s_sorted),
-            acf_mae=acf_mae(r, s),
-            psd_l2=psd_l2(r, s),
-            proto_err_avg=avg,
-            proto_err_med=med,
-            mdr=mdr(r, s),
-            coverage={q: _coverage(d_rs, nn_r, q) for q in COVERAGE_QUANTILES},
-            tails_real_x=tails_r[0],
-            tails_real_dx=tails_r[1],
-            tails_synth_x=tails_s[0],
-            tails_synth_dx=tails_s[1],
-        )
-    _check_items(report.score_items(), "real and synth sets")
-    return report
+    return _pair_scores(real, synth, {"wasserstein"})["wasserstein"]
+
+
+def ks_pooled(real, synth) -> float:
+    """Two-sample Kolmogorov-Smirnov statistic on pooled values."""
+    return _pair_scores(real, synth, {"ks"})["ks"]
+
+
+def acf_mae(real, synth) -> float:
+    """MAE between the mean ACF curves of the two sets, up to lag T // 2.
+    Both sets must have the same window length T."""
+    return _pair_scores(real, synth, {"acf_mae"})["acf_mae"]
+
+
+def psd_l2(real, synth) -> float:
+    """Euclidean distance between the mean power spectra of the two sets."""
+    return _pair_scores(real, synth, {"psd_l2"})["psd_l2"]
+
+
+def mean_curves(real, synth) -> dict[str, np.ndarray]:
+    """The mean ACF (lags 1..T // 2) and PSD curve of each set, keyed
+    ``acf_real``, ``acf_synth``, ``psd_real`` and ``psd_synth``."""
+    return _pair_scores(real, synth, {"curves"})
+
+
+def proto_err(real, synth) -> tuple[float, float]:
+    """Mean and median distance from each real window to its nearest synthetic one."""
+    scores = _pair_scores(real, synth, {"proto_err"})
+    return scores["proto_err_avg"], scores["proto_err_med"]
+
+
+def mdr(real, synth) -> float:
+    """Medoid distance ratio: medoid gap over mean real distance to the real medoid."""
+    return _pair_scores(real, synth, {"mdr"})["mdr"]
+
+
+def coverage(real, synth, q: float) -> float:
+    """Fraction of real windows with a synthetic neighbor within the q-quantile
+    of the real-to-real nearest-neighbor distances (self excluded)."""
+    return _pair_scores(real, synth, {"coverage"}, (q,))["coverage"][q]
+
+
+def evaluate(real, synth, seed: int = 0) -> MetricsReport:
+    """Score a (real, synthetic) pair, subsampling the larger set to equal
+    counts. Each item equals the public metric on the subsampled sets."""
+    return MetricsReport(**_pair_scores(real, synth, SCORES, COVERAGE_QUANTILES, seed))

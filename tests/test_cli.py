@@ -468,6 +468,23 @@ class TestRejectedInputs:
                                            f"finite (inf)\n")
         assert not out.exists()
 
+    def test_eval_curves_of_an_overflowing_row(self, tmp_path, capsys):
+        # the row falls outside evaluate's subsample, so only the curves of the whole
+        # synth set meet it; they used to be written as nan and inf, with warnings
+        rng = np.random.default_rng(0)
+        real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
+        fileio.write_windows(real, rng.standard_normal((20, 8)))
+        rows = rng.standard_normal((200, 8))
+        rows[199] *= 1e160
+        fileio.write_windows(synth, rows)
+        out, curves = tmp_path / "metrics.txt", tmp_path / "curves"
+        assert run("eval", "--real", real, "--synth", synth, "--out", out,
+                   "--curves-dir", curves, "--seed", "1") == 2
+        assert capsys.readouterr().err == (f"error: cannot score {synth} (synth) against {real} "
+                                           f"(real): the acf_synth of the real and synth sets is "
+                                           f"not finite (nan)\n")
+        assert not out.exists() and not curves.exists()
+
     def test_eval_window_length_mismatch(self, tmp_path, capsys):
         real, synth = tmp_path / "real.txt", tmp_path / "synth.txt"
         fileio.write_windows(real, synth_generate("sine_mix", 20, 32, 1))

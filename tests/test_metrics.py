@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -13,6 +16,7 @@ from graph2ts.metrics import (
     evaluate,
     ks_pooled,
     mdr,
+    mean_curves,
     proto_err,
     psd_l2,
     psd_mean_curve,
@@ -210,10 +214,11 @@ class TestACF:
             acf_mean_curve(w, 2)
         assert any("zero-variance" in r.message for r in caplog.records)
 
-    def test_all_zero_variance_errors(self):
-        with pytest.raises(ValueError):
+    def test_all_zero_variance_errors(self, rng):
+        with pytest.raises(ValueError, match="^the windows set holds only zero-variance windows$"):
             acf_mean_curve(np.ones((3, 8)), 2)
-
+        with pytest.raises(ValueError, match="^the synth set holds only zero-variance windows$"):
+            acf_mae(rng.standard_normal((3, 8)), np.ones((3, 8)))
 
     @pytest.mark.parametrize("widths", [(8, 32), (32, 8)])
     def test_window_lengths_differ(self, rng, widths):
@@ -601,12 +606,112 @@ class TestInputValidation:
     (lambda: tail_stats(np.ones((5, 1))), r"^windows too short for first differences$"),
     (lambda: acf_mean_curve(np.eye(8), 0), r"^max_lag must be in \[1, 7\]$"),
     (lambda: acf_mean_curve(np.eye(8), 8), r"^max_lag must be in \[1, 7\]$"),
+    (lambda: psd_mean_curve(np.ones((3, 1))),
+     r"^the windows set holds windows of length T=1; a tapered spectrum needs T >= 2$"),
+    (lambda: psd_l2(np.ones((3, 1)), np.ones((3, 1))),
+     r"^the real set holds windows of length T=1; a tapered spectrum needs T >= 2$"),
     (lambda: variance_decomposition_check(np.ones(4), np.zeros(3)),
      r"^x and labels must be non-empty and equally long$"),
     (lambda: variance_decomposition_check(np.ones(0), np.zeros(0)),
      r"^x and labels must be non-empty and equally long$"),
 ], ids=["tail_stats_empty", "evaluate_empty_real", "mdr_one_real", "tail_stats_t1",
-        "acf_lag_0", "acf_lag_t", "decomposition_mismatched", "decomposition_empty"])
+        "acf_lag_0", "acf_lag_t", "psd_t1", "psd_l2_t1", "decomposition_mismatched",
+        "decomposition_empty"])
 def test_raise_paths(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+# ---------------------------------------------------------------------------
+# one scoring core: every pair metric on sets whose powers overflow
+# ---------------------------------------------------------------------------
+
+PAIR_CALLS = {
+    "wasserstein1_pooled": wasserstein1_pooled,
+    "ks_pooled": ks_pooled,
+    "acf_mae": acf_mae,
+    "psd_l2": psd_l2,
+    "proto_err": proto_err,
+    "mdr": mdr,
+    "coverage": lambda r, s: coverage(r, s, 0.5),
+}
+_NOT_FINITE = "^the {} of the real and synth sets is not finite \\({}\\)$"
+_TOO_LARGE = (r"^the squared distances of the real set may overflow "
+              r"\(\|value\| up to 2\.27834e\+200\)$")
+_NAN = r"^synth set holds a non-finite value \(nan\) at row 3, column 1$"
+# (metric, scale): the value the metric returned before it shared evaluate's
+# guard, or the exact message of its ValueError; "nan" puts a NaN in the synth set
+PAIR_TABLE = {
+    ("wasserstein1_pooled", 1e200): 8.948495122793351e+198,
+    ("ks_pooled", 1e200): 0.0625,
+    ("acf_mae", 1e200): _NOT_FINITE.format("acf_mae", "nan"),  # was nan
+    ("psd_l2", 1e200): _NOT_FINITE.format("psd_l2", "nan"),  # was nan
+    ("proto_err", 1e200): _TOO_LARGE,  # was (inf, inf)
+    ("mdr", 1e200): _TOO_LARGE,  # was nan
+    ("coverage", 1e200): _TOO_LARGE,  # was 0.0
+    ("wasserstein1_pooled", 1e100): 8.948495122793352e+98,
+    ("ks_pooled", 1e100): 0.0625,
+    ("acf_mae", 1e100): 0.046125789756839244,
+    ("psd_l2", 1e100): _NOT_FINITE.format("psd_l2", "inf"),  # was inf
+    ("proto_err", 1e100): (1.6976079634288024e+100, 1.7550706497607404e+100),
+    ("mdr", 1e100): 0.6422991120487618,
+    ("coverage", 1e100): 0.425,
+    ("wasserstein1_pooled", 1e70): 8.948495122793352e+68,
+    ("ks_pooled", 1e70): 0.0625,
+    ("acf_mae", 1e70): 0.04612578975683924,
+    ("psd_l2", 1e70): 1.1830357395917296e+140,
+    ("proto_err", 1e70): (1.6976079634288024e+70, 1.755070649760741e+70),
+    ("mdr", 1e70): 0.6422991120487619,
+    ("coverage", 1e70): 0.425,
+    **{(name, "nan"): _NAN for name in PAIR_CALLS},
+}
+
+
+@pytest.mark.parametrize("name, scale", PAIR_TABLE, ids=[f"{n}-{s}" for n, s in PAIR_TABLE])
+def test_pair_metric_table(name, scale, monkeypatch):
+    # every warning is an error in this suite, so each case also shows that none escapes
+    real = synth_generate("sine_mix", 40, 8, seed=1)
+    synth = synth_generate("sine_mix", 40, 8, seed=2)
+    if scale == "nan":
+        synth[3, 1] = np.nan
+    else:
+        real, synth = real * scale, synth * scale
+    want = PAIR_TABLE[name, scale]
+    if not isinstance(want, str):
+        assert PAIR_CALLS[name](real, synth) == want
+        return
+
+    def no_pass(*args):
+        raise AssertionError("distance pass ran on a refused pair")
+
+    for kernel in ("min_dist_to_set", "nn_dist_excl_self", "medoid_index"):
+        monkeypatch.setattr(metrics._accel, kernel, no_pass)
+    with pytest.raises(ValueError, match=want):
+        PAIR_CALLS[name](real, synth)
+
+
+def test_mean_curves_name_a_curve_that_is_not_finite():
+    real = synth_generate("sine_mix", 20, 8, seed=1)
+    synth = synth_generate("sine_mix", 30, 8, seed=2)
+    curves = mean_curves(real, synth)
+    assert list(curves) == ["acf_real", "acf_synth", "psd_real", "psd_synth"]
+    assert np.array_equal(curves["acf_synth"], acf_mean_curve(synth, 4))
+    assert np.array_equal(curves["psd_real"], psd_mean_curve(real))
+    synth[29] *= 1e160
+    with pytest.raises(ValueError, match=_NOT_FINITE.format("acf_synth", "nan")):
+        mean_curves(real, synth)
+
+
+def test_pair_check_and_errstate_only_in_the_core():
+    # the scoring core is the one place that checks a pair of sets, and it and
+    # tail_stats are the only places that silence floating-point warnings
+    path = Path(metrics.__file__)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    spans = {n.name: (n.lineno, n.end_lineno) for n in ast.parse("\n".join(lines)).body
+             if isinstance(n, ast.FunctionDef)}
+    allowed = {spans["_as_pair"][0]}  # the def line
+    for fn in ("_pair_scores", "tail_stats"):
+        allowed |= set(range(spans[fn][0], spans[fn][1] + 1))
+    for needle in ("_as_pair(", "np.errstate("):
+        hits = {n for n, line in enumerate(lines, start=1) if needle in line}
+        assert hits and hits <= allowed, (needle, sorted(hits - allowed))

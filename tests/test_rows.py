@@ -17,7 +17,7 @@ import pytest
 
 from graph2ts import fileio
 from graph2ts.dataset import DatasetSplit, NormStats, split, synth_generate, zscore_fit_apply
-from graph2ts.metrics import evaluate, tail_stats
+from graph2ts.metrics import evaluate, mean_curves, tail_stats
 from graph2ts.model import Graph2TS, TrainConfig, init_params, train
 from graph2ts.quantile_graph import fit_boundaries, windows_to_graphs
 
@@ -46,6 +46,7 @@ CALLERS = {
     "train": ("training split", T, WINDOWS,
               lambda x, d: train(CONFIG, DatasetSplit(x, WINDOWS, NormStats(0.0, 1.0)))[0].params),
     "evaluate": ("real set", None, WINDOWS, lambda x, d: evaluate(x, WINDOWS[::-1])),
+    "mean_curves": ("real set", None, WINDOWS, lambda x, d: mean_curves(x, WINDOWS[::-1])),
     "tail_stats": ("windows set", None, WINDOWS, lambda x, d: tail_stats(x)),
     "windows_to_graphs": ("window set", None, WINDOWS, lambda x, d: windows_to_graphs(x, BOUNDS)),
     "split": ("window set", None, WINDOWS, lambda x, d: split(x, 0.25, seed=0)),
@@ -56,6 +57,8 @@ CALLERS = {
                      lambda x, d: _written(lambda p, g: fileio.write_graphs(p, g, Q), d, x)),
     "write_embeddings": ("embedding set", None, WINDOWS,
                          lambda x, d: _written(fileio.write_embeddings, d, x)),
+    "write_curve": ("acf_real curve", None, WINDOWS,
+                    lambda x, d: _written(lambda p, c: fileio.write_curve(p, "acf_real", c), d, x)),
 }
 WIDTH_CALLERS = [name for name, case in CALLERS.items() if case[1] is not None]
 
